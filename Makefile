@@ -22,7 +22,7 @@ test:
 # federation smoke (two httptest lodvizd instances answering one SERVICE
 # query).
 race:
-	$(GO) test -race ./internal/store/... ./internal/snapshot/... ./internal/sparql/... ./internal/federation/... ./internal/server/... ./internal/wal/... ./internal/ledger/... ./internal/explore/... ./internal/facet/... ./internal/hetree/... ./internal/progressive/... ./internal/sampling/... ./internal/prefetch/... ./internal/obs/...
+	$(GO) test -race -shuffle=on -count=3 ./internal/store/... ./internal/snapshot/... ./internal/sparql/... ./internal/federation/... ./internal/server/... ./internal/wal/... ./internal/ledger/... ./internal/explore/... ./internal/facet/... ./internal/hetree/... ./internal/progressive/... ./internal/sampling/... ./internal/prefetch/... ./internal/obs/...
 	$(GO) test -race -count=2 -run 'ScanIDs|IDJoin|StreamConcurrentWriters' ./internal/store ./internal/sparql
 	$(GO) test -race -run 'Federated|ServiceSilent' .
 
@@ -34,10 +34,13 @@ cover-server:
 	echo "internal/server+internal/obs coverage: $$total%"; \
 	awk "BEGIN { exit !($$total >= 80) }" || { echo "FAIL: coverage $$total% < 80%"; exit 1; }
 
-# Short coverage-guided fuzz smoke over the text-format parsers and the
-# federation results decoder (it consumes untrusted remote bytes).
+# Short coverage-guided fuzz smoke over the text-format parsers, the
+# compiled SPARQL expression evaluator (differential against the reference
+# interpreter), and the federation results decoder (it consumes untrusted
+# remote bytes).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseQuery -fuzztime=10s ./internal/sparql
+	$(GO) test -fuzz=FuzzExprDifferential -fuzztime=10s ./internal/sparql
 	$(GO) test -fuzz=FuzzNTriples -fuzztime=10s ./internal/ntriples
 	$(GO) test -fuzz=FuzzDecodeResults -fuzztime=10s ./internal/federation
 	$(GO) test -fuzz=FuzzWALDecode -fuzztime=10s ./internal/wal

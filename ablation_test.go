@@ -1,6 +1,6 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out:
-// WoD-specific indexes vs scanning, buffer-pool sizing, join-order
-// robustness, and hierarchy fan-out.
+// Ablation benchmarks for lodviz's design choices: WoD-specific indexes vs
+// scanning, buffer-pool sizing, join-order robustness, and hierarchy
+// fan-out.
 package lodviz
 
 import (

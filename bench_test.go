@@ -1,4 +1,5 @@
-// Benchmarks, one group per experiment in DESIGN.md's index (E1–E12).
+// Benchmarks, one group per experiment E1–E12 (the experiment table in
+// cmd/benchharness/main.go names each one).
 // cmd/benchharness runs the same workloads as parameter sweeps and prints
 // paper-style rows; these testing.B benches give per-operation costs.
 package lodviz

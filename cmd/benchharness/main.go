@@ -1,6 +1,5 @@
-// Benchharness runs every experiment in DESIGN.md's index (E1–E12) and
-// prints paper-style result rows; EXPERIMENTS.md records its output against
-// the survey's claims.
+// Benchharness runs every experiment E1–E12 (the table in main below) and
+// prints paper-style result rows to compare against the survey's claims.
 //
 // Usage:
 //

@@ -6,8 +6,8 @@ import (
 
 // Synthetic dataset generation. The surveyed systems demonstrate on live
 // LOD endpoints (DBpedia, LinkedGeoData); lodviz is offline by design, so
-// these deterministic generators produce datasets with the same shape (see
-// DESIGN.md, "Substitutions").
+// these deterministic generators substitute datasets with the same shape
+// (internal/gen documents each generator).
 
 // GenerateScaleFree returns a dataset whose link structure follows a
 // Barabási–Albert preferential-attachment process (n entities, m edges per

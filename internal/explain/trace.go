@@ -6,7 +6,9 @@ package explain
 // "execute" span whose children are the per-pattern join stages — each
 // carrying the strategy the executor picked (id-merge, id-probe, id-cross,
 // hash, paged-scan), the rows entering and leaving the stage, and for the
-// paged streaming driver the number of store pages scanned. The HTTP layer
+// paged streaming driver the number of store pages scanned. A FILTER pushed
+// into a pattern run appears as a "filter" child of the run's last pattern
+// span, with the rows it kept. The HTTP layer
 // serves the tree on POST /sparql?explain=1 and summarizes it in the
 // slow-query log.
 
@@ -27,13 +29,15 @@ const maxTraceSpans = 512
 // Span is one node of an execution trace.
 type Span struct {
 	// Name classifies the stage: "query", "parse", "plan", "execute",
-	// "pattern".
+	// "pattern", or "filter" (a FILTER pushed into a pattern run, recorded
+	// under the run's last pattern span).
 	Name string `json:"name"`
 	// Detail is the stage's subject — for pattern spans, the triple pattern
 	// text; for plan spans, the join order chosen.
 	Detail string `json:"detail,omitempty"`
 	// Strategy is the executor a pattern span ran on: "id-merge",
-	// "id-probe", "id-cross", "hash", or "paged-scan".
+	// "id-probe", "id-cross", "hash", or "paged-scan"; "id-filter" for a
+	// filter span.
 	Strategy string `json:"strategy,omitempty"`
 	// RowsIn and RowsOut count the solution rows entering and leaving the
 	// stage.

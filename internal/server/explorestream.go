@@ -138,10 +138,12 @@ func (s *Server) handleFacetsStream(w http.ResponseWriter, r *http.Request) {
 		markStream(w, lines, line(exploreStreamFinal{Error: msg}))
 		return
 	}
+	// Publish, then acknowledge: the cache holds the result before the
+	// client reads "done", so its next buffered request is a HIT.
 	resp := encodeFacetsResponse(count, fs)
+	s.fillCache(s.facetsKey(max, rawFilters, gen), gen, resp)
 	if line(exploreStreamFinal{Done: true, Fraction: 1, Result: resp}) {
 		markStream(w, lines+1, true)
-		s.fillCache(s.facetsKey(max, rawFilters, gen), gen, resp)
 	} else {
 		markStream(w, lines, false)
 	}
@@ -215,10 +217,11 @@ func (s *Server) handleStatsStream(w http.ResponseWriter, r *http.Request) {
 		markStream(w, lines, line(exploreStreamFinal{Error: msg}))
 		return
 	}
+	// Publish, then acknowledge (see handleFacetsStream).
 	resp := encodeStatsResponse(stats)
+	s.fillCache(s.statsKey(gen), gen, resp)
 	if line(exploreStreamFinal{Done: true, Fraction: 1, Result: resp}) {
 		markStream(w, lines+1, true)
-		s.fillCache(s.statsKey(gen), gen, resp)
 	} else {
 		markStream(w, lines, false)
 	}

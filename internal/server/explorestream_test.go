@@ -157,6 +157,41 @@ func TestStreamFillsBufferedCache(t *testing.T) {
 	}
 }
 
+// TestStreamDoneImpliesCached pins "publish, then acknowledge" for every
+// stream→cache path: the moment a client has read a stream's done line —
+// before the response body is even drained or closed — the buffered
+// endpoint must already answer from the cache. Each round writes a triple
+// first, so the round's cache keys are fresh.
+func TestStreamDoneImpliesCached(t *testing.T) {
+	_, ts, st := newTestServer(t, Config{})
+	for round := 0; round < 5; round++ {
+		if err := st.Add(rdf.Triple{S: rdf.IRI(fmt.Sprintf("http://x/round%d", round)), P: "http://x/p", O: rdf.NewInteger(int64(round))}); err != nil {
+			t.Fatal(err)
+		}
+		for _, ep := range []struct{ stream, buffered string }{
+			{"/facets/stream", "/facets"},
+			{"/stats/stream", "/stats"},
+		} {
+			resp, err := http.Get(ts.URL + ep.stream)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, final := readStream(t, resp.Body) // stops right after the done line
+			if !final.Done {
+				t.Fatalf("%s did not complete", ep.stream)
+			}
+			bresp, body := getBody(t, ts.URL+ep.buffered)
+			resp.Body.Close()
+			if xc := bresp.Header.Get("X-Cache"); xc != "HIT" {
+				t.Fatalf("round %d: %s right after %s's done line: X-Cache = %q, want HIT", round, ep.buffered, ep.stream, xc)
+			}
+			if string(final.Result) != strings.TrimSpace(string(body)) {
+				t.Fatalf("round %d: %s served different bytes than the stream final", round, ep.buffered)
+			}
+		}
+	}
+}
+
 // pageGatedSource wraps the store's ID-space surface, capping every page at a few
 // triples and blocking all pages after the first until released — the
 // deterministic way to hold a progressive stream mid-scan.

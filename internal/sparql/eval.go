@@ -3,8 +3,10 @@ package sparql
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/lodviz/lodviz/internal/explain"
@@ -49,16 +51,28 @@ type engine struct {
 	// concurrent worker goroutines.
 	cards     map[rdf.IRI]store.PredCardinality
 	cardsOnce sync.Once
+	// memo is the query's ID→term cache for ID-space expression
+	// evaluation, lent to one step at a time (acquireMemo).
+	memoMu sync.Mutex
+	memo   *idMemo
+	// progs caches each group's compiled filters (compileFilters).
+	progMu sync.Mutex
+	progs  map[*Expr][]*filterProg
 }
 
 // evalGroup evaluates a group graph pattern, extending each input binding.
 func (e *engine) evalGroup(g *Group, input []Binding) ([]Binding, error) {
-	elems := g.Elems
-	if !e.noReorder {
-		elems = e.reorderTriplePatterns(elems)
-		e.tracePlan(elems)
+	return e.evalElems(e.planElems(g), g.Filters, input)
+}
+
+// planElems returns the group's elements in evaluation order.
+func (e *engine) planElems(g *Group) []GroupElem {
+	if e.noReorder {
+		return g.Elems
 	}
-	return e.evalElems(elems, g.Filters, input)
+	elems := e.reorderTriplePatterns(g.Elems)
+	e.tracePlan(elems)
+	return elems
 }
 
 // tracePlan records the planned pattern order as a "plan" span. Only groups
@@ -102,10 +116,32 @@ func patternString(tp TriplePattern) string {
 // materializing path would use (re-planning the tail in isolation could
 // pick a different join order and therefore a different row order).
 func (e *engine) evalElems(elems []GroupElem, filters []Expr, input []Binding) ([]Binding, error) {
+	sols, _, err := e.evalElemsTail(elems, filters, input, false)
+	return sols, err
+}
+
+// evalElemsTail is evalElems with filter pushdown and an optional undecoded
+// tail. On the ID executor, each filter whose variables a pattern run binds
+// is applied to that run's ID rows (see placeFilters); the rest apply, as
+// the spec orders, to the group's solutions at the end. With wantTail set,
+// a sequence ending in a pattern run with no filter left for the end
+// returns that run's rows undecoded (sols nil) for grouping.
+func (e *engine) evalElemsTail(elems []GroupElem, filters []Expr, input []Binding, wantTail bool) ([]Binding, *idTail, error) {
+	progs := e.compileFilters(filters)
+	// at[k] is where filter k applies: the first element of the pattern
+	// run it is pushed into, or -1 for the group's end.
+	var atBuf [8]int
+	at := atBuf[:0]
+	for range progs {
+		at = append(at, -1)
+	}
+	if _, ok := e.idSource(); ok {
+		placeFilters(elems, progs, at)
+	}
 	cur := input
 	for i := 0; i < len(elems); i++ {
 		if err := e.cancelled(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		var err error
 		switch el := elems[i].(type) {
@@ -113,7 +149,8 @@ func (e *engine) evalElems(elems []GroupElem, filters []Expr, input []Binding) (
 			// Gather the maximal run of consecutive triple patterns: the run
 			// evaluates as one unit so the ID-space executor (idjoin.go) can
 			// keep intermediate rows dictionary-encoded across the joins and
-			// decode terms once at the end.
+			// its pushed filters, and decode terms once at the end.
+			first := i
 			run := []TriplePattern{el}
 			for i+1 < len(elems) {
 				next, ok := elems[i+1].(TriplePattern)
@@ -123,7 +160,15 @@ func (e *engine) evalElems(elems []GroupElem, filters []Expr, input []Binding) (
 				run = append(run, next)
 				i++
 			}
-			cur, err = e.evalPatternRun(run, cur)
+			var t idTail
+			cur, t, err = e.runPatterns(run, runFilters{progs, at, first}, cur)
+			if t.src != nil {
+				if wantTail && i == len(elems)-1 && !slices.ContainsFunc(at, func(a int) bool { return a < 0 }) {
+					tail := t // a copy, so t need not escape on every run
+					return nil, &tail, nil
+				}
+				cur = t.decode()
+			}
 		case SubGroup:
 			cur, err = e.evalGroup(el.Inner, cur)
 		case Optional:
@@ -140,24 +185,160 @@ func (e *engine) evalElems(elems []GroupElem, filters []Expr, input []Binding) (
 			err = fmt.Errorf("sparql: unknown group element %T", el)
 		}
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if len(cur) == 0 {
 			break
 		}
 	}
-	// Group filters apply to the whole group's solutions.
-	for _, f := range filters {
+	// The remaining filters apply to the whole group's solutions.
+	for k, p := range progs {
+		if at[k] >= 0 {
+			continue
+		}
+		var en env
 		filtered := cur[:0:0]
 		for _, b := range cur {
-			ok, err := evalBool(f, b)
-			if err == nil && ok {
+			en.b = b
+			if ebvTrue(p.fn, &en) {
 				filtered = append(filtered, b)
 			}
 		}
 		cur = filtered
 	}
-	return cur, nil
+	return cur, nil, nil
+}
+
+// filterProg is a compiled group filter.
+type filterProg struct {
+	expr Expr
+	fn   evalFn
+	fr   *frame // the variables the filter reads
+	// layout is the last run layout the filter was bound to: an OPTIONAL
+	// inner group re-evaluates the same run once per outer row.
+	layout atomic.Pointer[frameLayout]
+}
+
+// layoutFor returns the filter's frame layout over a run's slots.
+func (p *filterProg) layoutFor(slotVars []string) *frameLayout {
+	if l := p.layout.Load(); l != nil && slices.Equal(l.slotVars, slotVars) {
+		return l
+	}
+	l := newFrameLayout(p.fr, slotVars)
+	p.layout.Store(l)
+	return l
+}
+
+// compileFilters compiles a group's filters once per query: OPTIONAL
+// inner groups and streamed tails evaluate the same group many times.
+// Groups are identified by their filter slice, which the AST owns.
+func (e *engine) compileFilters(filters []Expr) []*filterProg {
+	if len(filters) == 0 {
+		return nil
+	}
+	key := &filters[0]
+	e.progMu.Lock()
+	defer e.progMu.Unlock()
+	if progs, ok := e.progs[key]; ok && len(progs) == len(filters) {
+		return progs
+	}
+	progs := make([]*filterProg, len(filters))
+	for i, f := range filters {
+		fn, fr := compileExpr(f)
+		progs[i] = &filterProg{expr: f, fn: fn, fr: fr}
+	}
+	if e.progs == nil {
+		e.progs = map[*Expr][]*filterProg{}
+	}
+	e.progs[key] = progs
+	return progs
+}
+
+// placeFilters decides filter pushdown for a planned element sequence,
+// setting at[i] to the index of the first element of the pattern run
+// filter i moves into; it stays -1 when the filter stays at the group's end. A filter moves into the
+// first run whose patterns mention every variable it reads. Every such
+// variable is bound in every row the run emits, and later elements only
+// extend rows, so the filter sees the same values there as at the group's
+// end and rejects the same rows — earlier, before they are decoded or
+// joined further. A run is skipped when a later element BINDs one of its
+// variables: that BIND fails the query on any surviving row, and an early
+// filter must not hide the error by emptying the run.
+func placeFilters(elems []GroupElem, progs []*filterProg, at []int) {
+	if len(progs) == 0 {
+		return
+	}
+	var vars []string
+	for i := 0; i < len(elems); {
+		if _, ok := elems[i].(TriplePattern); !ok {
+			i++
+			continue
+		}
+		first := i
+		vars = vars[:0]
+		for ; i < len(elems); i++ {
+			tp, ok := elems[i].(TriplePattern)
+			if !ok {
+				break
+			}
+			for _, n := range [3]Node{tp.S, tp.P, tp.O} {
+				if n.IsVar() {
+					vars = append(vars, n.Var)
+				}
+			}
+		}
+		if bindsAny(elems[i:], vars) {
+			continue
+		}
+		for k, p := range progs {
+			if at[k] < 0 && coveredBy(p.fr.vars, vars) {
+				at[k] = first
+			}
+		}
+	}
+}
+
+// runFilters selects the filters pushed into the pattern run starting at
+// element first.
+type runFilters struct {
+	progs []*filterProg
+	at    []int
+	first int
+}
+
+func coveredBy(vars, bound []string) bool {
+	for _, v := range vars {
+		if !slices.Contains(bound, v) {
+			return false
+		}
+	}
+	return true
+}
+
+// bindsAny reports whether any element, at any nesting depth, BINDs one of
+// vars.
+func bindsAny(elems []GroupElem, vars []string) bool {
+	for _, el := range elems {
+		switch el := el.(type) {
+		case Bind:
+			if slices.Contains(vars, el.Var) {
+				return true
+			}
+		case SubGroup:
+			if bindsAny(el.Inner.Elems, vars) {
+				return true
+			}
+		case Optional:
+			if bindsAny(el.Inner.Elems, vars) {
+				return true
+			}
+		case Union:
+			if bindsAny(el.Left.Elems, vars) || bindsAny(el.Right.Elems, vars) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // reorderTriplePatterns greedily orders runs of triple patterns by estimated
@@ -479,15 +660,18 @@ func (e *engine) evalUnion(u Union, input []Binding) ([]Binding, error) {
 }
 
 func (e *engine) evalBind(bi Bind, input []Binding) ([]Binding, error) {
+	fn, _ := compileExpr(bi.Expr)
 	out := make([]Binding, 0, len(input))
+	var en env
 	for _, b := range input {
 		if _, already := b[bi.Var]; already {
 			return nil, fmt.Errorf("sparql: BIND target ?%s already bound", bi.Var)
 		}
 		nb := b.clone()
-		if t, err := evalExpr(bi.Expr, b); err == nil {
+		en.b = b
+		if v, ok := fn(&en); ok {
 			// An erroring BIND expression leaves the variable unbound.
-			nb[bi.Var] = t
+			nb[bi.Var] = v.term()
 		}
 		out = append(out, nb)
 	}

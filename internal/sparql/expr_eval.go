@@ -26,156 +26,28 @@ func (b Binding) clone() Binding {
 // FILTER whose expression errors simply rejects the solution.
 var errExpr = errors.New("sparql: expression error")
 
-// evalExpr evaluates an expression against a binding.
-func evalExpr(e Expr, b Binding) (rdf.Term, error) {
-	switch ex := e.(type) {
-	case ExVar:
-		t, ok := b[ex.Name]
-		if !ok {
-			return nil, fmt.Errorf("%w: unbound variable ?%s", errExpr, ex.Name)
-		}
-		return t, nil
-	case ExTerm:
-		return ex.Term, nil
-	case ExUnary:
-		return evalUnary(ex, b)
-	case ExBinary:
-		return evalBinary(ex, b)
-	case ExCall:
-		return evalCall(ex, b)
-	case ExAggregate:
-		return nil, fmt.Errorf("%w: aggregate outside grouped query", errExpr)
-	default:
-		return nil, fmt.Errorf("%w: unknown expression %T", errExpr, e)
-	}
-}
-
-// evalBool evaluates an expression to its effective boolean value.
-func evalBool(e Expr, b Binding) (bool, error) {
-	t, err := evalExpr(e, b)
-	if err != nil {
-		return false, err
-	}
-	v, ok := rdf.EffectiveBoolean(t)
-	if !ok {
-		return false, fmt.Errorf("%w: no effective boolean value", errExpr)
-	}
-	return v, nil
-}
-
-func evalUnary(ex ExUnary, b Binding) (rdf.Term, error) {
-	switch ex.Op {
-	case "!":
-		v, err := evalBool(ex.Expr, b)
-		if err != nil {
-			return nil, err
-		}
-		return rdf.NewBoolean(!v), nil
-	case "-":
-		t, err := evalExpr(ex.Expr, b)
-		if err != nil {
-			return nil, err
-		}
-		f, ok := numeric(t)
-		if !ok {
-			return nil, fmt.Errorf("%w: unary minus on non-numeric", errExpr)
-		}
-		return numResult(-f, t, t), nil
-	default:
-		return nil, fmt.Errorf("%w: unknown unary %q", errExpr, ex.Op)
-	}
-}
-
-func evalBinary(ex ExBinary, b Binding) (rdf.Term, error) {
-	switch ex.Op {
-	case "||":
-		// SPARQL logical-or: true if either side is true even if the other
-		// errors.
-		lv, lerr := evalBool(ex.Left, b)
-		rv, rerr := evalBool(ex.Right, b)
-		switch {
-		case lerr == nil && rerr == nil:
-			return rdf.NewBoolean(lv || rv), nil
-		case lerr == nil && lv:
-			return rdf.NewBoolean(true), nil
-		case rerr == nil && rv:
-			return rdf.NewBoolean(true), nil
-		default:
-			return nil, fmt.Errorf("%w: || operand error", errExpr)
-		}
-	case "&&":
-		lv, lerr := evalBool(ex.Left, b)
-		rv, rerr := evalBool(ex.Right, b)
-		switch {
-		case lerr == nil && rerr == nil:
-			return rdf.NewBoolean(lv && rv), nil
-		case lerr == nil && !lv:
-			return rdf.NewBoolean(false), nil
-		case rerr == nil && !rv:
-			return rdf.NewBoolean(false), nil
-		default:
-			return nil, fmt.Errorf("%w: && operand error", errExpr)
-		}
-	}
-	l, err := evalExpr(ex.Left, b)
-	if err != nil {
-		return nil, err
-	}
-	r, err := evalExpr(ex.Right, b)
-	if err != nil {
-		return nil, err
-	}
-	switch ex.Op {
-	case "=", "!=", "<", ">", "<=", ">=":
-		return evalComparison(ex.Op, l, r)
-	case "+", "-", "*", "/":
-		lf, lok := numeric(l)
-		rf, rok := numeric(r)
-		if !lok || !rok {
-			return nil, fmt.Errorf("%w: arithmetic on non-numeric", errExpr)
-		}
-		var v float64
-		switch ex.Op {
-		case "+":
-			v = lf + rf
-		case "-":
-			v = lf - rf
-		case "*":
-			v = lf * rf
-		case "/":
-			if rf == 0 {
-				return nil, fmt.Errorf("%w: division by zero", errExpr)
-			}
-			v = lf / rf
-		}
-		return numResult(v, l, r), nil
-	default:
-		return nil, fmt.Errorf("%w: unknown operator %q", errExpr, ex.Op)
-	}
-}
-
-func evalComparison(op string, l, r rdf.Term) (rdf.Term, error) {
+// compareTerms applies a comparison operator to two terms: '=' and '!='
+// by termsEqual, the ordering operators by numeric, then temporal, then
+// lexical order of two literals (an error for anything else).
+func compareTerms(op string, l, r rdf.Term) (bool, error) {
 	// RDF term equality handles IRIs and exact literals.
 	if op == "=" || op == "!=" {
 		eq, err := termsEqual(l, r)
 		if err != nil {
-			return nil, err
+			return false, err
 		}
-		if op == "!=" {
-			eq = !eq
-		}
-		return rdf.NewBoolean(eq), nil
+		return eq != (op == "!="), nil
 	}
 	ll, lok := l.(rdf.Literal)
 	rl, rok := r.(rdf.Literal)
 	if !lok || !rok {
-		return nil, fmt.Errorf("%w: ordering comparison requires literals", errExpr)
+		return false, fmt.Errorf("%w: ordering comparison requires literals", errExpr)
 	}
 	if lf, ok := ll.Float(); ok {
 		if rf, ok := rl.Float(); ok {
-			return rdf.NewBoolean(cmpHolds(op, cmpFloat(lf, rf))), nil
+			return cmpHolds(op, cmpFloat(lf, rf)), nil
 		}
-		return nil, fmt.Errorf("%w: numeric vs non-numeric comparison", errExpr)
+		return false, fmt.Errorf("%w: numeric vs non-numeric comparison", errExpr)
 	}
 	if lt, ok := ll.Time(); ok {
 		if rt, ok := rl.Time(); ok {
@@ -185,12 +57,12 @@ func evalComparison(op string, l, r rdf.Term) (rdf.Term, error) {
 			} else if lt.After(rt) {
 				c = 1
 			}
-			return rdf.NewBoolean(cmpHolds(op, c)), nil
+			return cmpHolds(op, c), nil
 		}
-		return nil, fmt.Errorf("%w: temporal vs non-temporal comparison", errExpr)
+		return false, fmt.Errorf("%w: temporal vs non-temporal comparison", errExpr)
 	}
 	// Fall back to string comparison for stringish literals.
-	return rdf.NewBoolean(cmpHolds(op, strings.Compare(ll.Lexical, rl.Lexical))), nil
+	return cmpHolds(op, strings.Compare(ll.Lexical, rl.Lexical)), nil
 }
 
 // termsEqual implements SPARQL '=': value equality for literals with known
@@ -263,44 +135,6 @@ func numResult(v float64, l, r rdf.Term) rdf.Term {
 		}
 	}
 	return rdf.NewDouble(v)
-}
-
-func evalCall(ex ExCall, b Binding) (rdf.Term, error) {
-	// BOUND and COALESCE/IF treat argument errors specially.
-	switch ex.Name {
-	case "BOUND":
-		v, ok := ex.Args[0].(ExVar)
-		if !ok {
-			return nil, fmt.Errorf("%w: BOUND requires a variable", errExpr)
-		}
-		_, bound := b[v.Name]
-		return rdf.NewBoolean(bound), nil
-	case "COALESCE":
-		for _, a := range ex.Args {
-			if t, err := evalExpr(a, b); err == nil {
-				return t, nil
-			}
-		}
-		return nil, fmt.Errorf("%w: all COALESCE branches errored", errExpr)
-	case "IF":
-		c, err := evalBool(ex.Args[0], b)
-		if err != nil {
-			return nil, err
-		}
-		if c {
-			return evalExpr(ex.Args[1], b)
-		}
-		return evalExpr(ex.Args[2], b)
-	}
-	args := make([]rdf.Term, len(ex.Args))
-	for i, a := range ex.Args {
-		t, err := evalExpr(a, b)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = t
-	}
-	return applyBuiltin(ex.Name, args)
 }
 
 func applyBuiltin(name string, args []rdf.Term) (rdf.Term, error) {

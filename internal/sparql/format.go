@@ -104,6 +104,13 @@ func writeNode(b *strings.Builder, n Node) {
 	b.WriteString(n.Term.String())
 }
 
+// exprString renders an expression in SPARQL syntax (trace details).
+func exprString(e Expr) string {
+	var b strings.Builder
+	writeExpr(&b, e)
+	return b.String()
+}
+
 func writeExpr(b *strings.Builder, e Expr) {
 	switch e := e.(type) {
 	case ExVar:

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"time"
 
+	"github.com/lodviz/lodviz/internal/explain"
 	"github.com/lodviz/lodviz/internal/rdf"
 	"github.com/lodviz/lodviz/internal/store"
 )
@@ -51,21 +52,33 @@ type idPos struct {
 	id   store.ID
 }
 
-// evalPatternRun evaluates a maximal run of consecutive triple patterns.
-// Non-ID sources and Options.NoIDJoin take the per-pattern term-space path;
-// everything else runs the dictionary-ID pipeline.
-func (e *engine) evalPatternRun(run []TriplePattern, input []Binding) ([]Binding, error) {
-	src, ok := e.st.(IDSource)
-	if !ok || e.noIDJoin {
+// runPatterns evaluates a pattern run. Non-ID sources and Options.NoIDJoin
+// take the per-pattern term-space path, which returns Bindings (and is
+// never handed filters: pushdown is an ID-executor feature); everything
+// else runs the dictionary-ID pipeline, applies the filters pushed into the
+// run, and returns the surviving rows undecoded.
+// A tail with a nil src means the run took the term-space path.
+func (e *engine) runPatterns(run []TriplePattern, filters runFilters, input []Binding) ([]Binding, idTail, error) {
+	src, ok := e.idSource()
+	if !ok {
 		if e.met != nil {
 			e.met.RunsHash.Inc()
 		}
-		return e.evalPatternRunHash(run, input)
+		sols, err := e.evalPatternRunHash(run, input)
+		return sols, idTail{}, err
 	}
 	if e.met != nil {
 		e.met.RunsIDJoin.Inc()
 	}
-	return e.evalPatternRunIDs(src, run, input)
+	t, err := e.evalPatternRunIDs(src, run, filters, input)
+	return nil, t, err
+}
+
+// idSource returns the engine's source as an IDSource when the ID executor
+// is in use.
+func (e *engine) idSource() (IDSource, bool) {
+	src, ok := e.st.(IDSource)
+	return src, ok && !e.noIDJoin
 }
 
 // evalPatternRunHash is the pre-existing term-space pipeline: one hash-probe
@@ -96,7 +109,21 @@ func (e *engine) evalPatternRunHash(run []TriplePattern, input []Binding) ([]Bin
 	return cur, nil
 }
 
-func (e *engine) evalPatternRunIDs(src IDSource, run []TriplePattern, input []Binding) ([]Binding, error) {
+// idTail is a pattern run's output in ID space: rows over the run's slots
+// (slotVars names them), each descending from an input Binding.
+type idTail struct {
+	src      IDSource
+	rows     idRows
+	slotVars []string
+	input    []Binding
+}
+
+// decode materializes the rows as Bindings (decodeIDRows).
+func (t *idTail) decode() []Binding {
+	return decodeIDRows(t.src, t.rows, t.slotVars, t.input)
+}
+
+func (e *engine) evalPatternRunIDs(src IDSource, run []TriplePattern, filters runFilters, input []Binding) (idTail, error) {
 	// Slot table: every variable any pattern in the run mentions.
 	slotOf := map[string]int{}
 	var slotVars []string
@@ -176,9 +203,10 @@ func (e *engine) evalPatternRunIDs(src IDSource, run []TriplePattern, input []Bi
 		}
 	}
 
+	var lastSpan *explain.Span
 	for _, tp := range run {
 		if err := e.cancelled(); err != nil {
-			return nil, err
+			return idTail{}, err
 		}
 		if rows.n() == 0 {
 			break
@@ -192,10 +220,11 @@ func (e *engine) evalPatternRunIDs(src IDSource, run []TriplePattern, input []Bi
 		var err error
 		rows, strat, err = e.evalOnePatternIDs(src, tp, rows, slotOf, boundAll, boundAny, lookup)
 		if err != nil {
-			return nil, err
+			return idTail{}, err
 		}
 		if e.trace != nil {
-			e.trace.Add(e.exec, "pattern").Set(patternString(tp), strat, before, rows.n(), start)
+			lastSpan = e.trace.Add(e.exec, "pattern")
+			lastSpan.Set(patternString(tp), strat, before, rows.n(), start)
 		}
 		if e.met != nil {
 			e.met.RowsOut.Add(uint64(rows.n()))
@@ -207,7 +236,61 @@ func (e *engine) evalPatternRunIDs(src IDSource, run []TriplePattern, input []Bi
 			}
 		}
 	}
-	return decodeIDRows(src, rows, slotVars, input), nil
+	t := idTail{src: src, rows: rows, slotVars: slotVars, input: input}
+	if err := e.filterIDRows(&t, filters, lastSpan); err != nil {
+		return idTail{}, err
+	}
+	return t, nil
+}
+
+// filterIDRows applies the filters pushed into a pattern run to its ID rows
+// in place, before anything is decoded: only the values the filters read
+// are resolved, once per distinct ID through the query's memo. Each filter
+// is traced as a "filter" span under the run's last pattern span.
+func (e *engine) filterIDRows(t *idTail, filters runFilters, runSpan *explain.Span) error {
+	if !slices.Contains(filters.at, filters.first) || t.rows.n() == 0 {
+		return nil
+	}
+	memo, shared := e.acquireMemo()
+	defer e.releaseMemo(shared)
+	stride := t.rows.stride
+	var en env
+	for k, f := range filters.progs {
+		if filters.at[k] != filters.first {
+			continue
+		}
+		var start time.Time
+		if e.trace != nil {
+			start = time.Now()
+		}
+		rb := newRowBinder(f.fr, f.layoutFor(t.slotVars), memo)
+		rb.resolve(t.src, t.rows)
+		before, kept := t.rows.n(), 0
+		for r := 0; r < before; r++ {
+			if r%cancelCheckInterval == 0 {
+				if err := e.cancelled(); err != nil {
+					return err
+				}
+			}
+			// Rows before r may already be overwritten by survivors; row r
+			// and the resolved cells (indexed by original row) are intact.
+			rb.bind(&en, t.rows, r, t.input[t.rows.parents[r]])
+			if ebvTrue(f.fn, &en) {
+				copy(t.rows.ids[kept*stride:], t.rows.row(r))
+				t.rows.parents[kept] = t.rows.parents[r]
+				kept++
+			}
+		}
+		t.rows.ids = t.rows.ids[:kept*stride]
+		t.rows.parents = t.rows.parents[:kept]
+		if runSpan != nil {
+			e.trace.Add(runSpan, "filter").Set(exprString(f.expr), "id-filter", before, kept, start)
+		}
+		if kept == 0 {
+			break
+		}
+	}
+	return nil
 }
 
 // evalOnePatternIDs extends rows by one pattern, picking the cheapest
@@ -229,17 +312,7 @@ func (e *engine) evalOnePatternIDs(src IDSource, tp TriplePattern, rows idRows, 
 	}
 
 	// Classify the pattern's variable slots against the current rows.
-	repeated := false
-	for i, p := range ps {
-		if p.slot < 0 {
-			continue
-		}
-		for j := 0; j < i; j++ {
-			if ps[j].slot == p.slot {
-				repeated = true
-			}
-		}
-	}
+	repeated := repeatedSlot(ps)
 	allFresh, mixed := true, false
 	nBound, freshPositions, boundSlot := 0, 0, -1
 	lead := store.PosAny
@@ -414,7 +487,7 @@ func (e *engine) idMergeJoin(src IDSource, ps [3]idPos, cs, cp, co store.ID, bou
 // probing each row — every row's probe would walk the same range in the same
 // order — at 1/rows the scan cost.
 func (e *engine) idScanCross(src IDSource, ps [3]idPos, cs, cp, co store.ID, rows idRows) (idRows, error) {
-	var matches []store.IDTriple
+	matches := make([]store.IDTriple, 0, src.EstimateCountIDs(cs, cp, co))
 	scanned := 0
 	var stop error
 	src.ForEachID(cs, cp, co, func(t store.IDTriple) bool {
@@ -435,6 +508,13 @@ func (e *engine) idScanCross(src IDSource, ps [3]idPos, cs, cp, co store.ID, row
 		e.met.MatchesScanned.Add(uint64(scanned))
 	}
 	out := idRows{stride: rows.stride}
+	if !repeatedSlot(ps) {
+		// No variable is bound yet, so without a repeated variable every
+		// row meets every match: the output size is exact.
+		n := rows.n() * len(matches)
+		out.ids = make([]store.ID, 0, n*rows.stride)
+		out.parents = make([]int32, 0, n)
+	}
 	scratch := make([]store.ID, rows.stride)
 	steps := 0
 	for r := 0; r < rows.n(); r++ {
@@ -454,6 +534,18 @@ func (e *engine) idScanCross(src IDSource, ps [3]idPos, cs, cp, co store.ID, row
 		}
 	}
 	return out, nil
+}
+
+// repeatedSlot reports whether a variable occurs twice in the pattern.
+func repeatedSlot(ps [3]idPos) bool {
+	for i, p := range ps {
+		for j := 0; j < i; j++ {
+			if p.slot >= 0 && ps[j].slot == p.slot {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // idProbe is the general per-row strategy: concretize the mask from the

@@ -193,7 +193,7 @@ func TestIDJoinUnderConcurrentWrites(t *testing.T) {
 	writers.Wait()
 }
 
-// TestIDJoinMergeEdgeCases drives evalPatternRun directly at the strategy
+// TestIDJoinMergeEdgeCases drives a single pattern run at the strategy
 // seams: a merge whose scan run is empty, input rows all sharing one key,
 // and keys with no span in the sorted run but matches in the delta tail.
 func TestIDJoinMergeEdgeCases(t *testing.T) {
@@ -210,14 +210,14 @@ func TestIDJoinMergeEdgeCases(t *testing.T) {
 		{"e": ent(305)},                    // match only in the uncompacted delta tail
 		{"e": rdf.IRI("http://nowhere/e")}, // not in the dictionary
 	}
-	run := []TriplePattern{{S: v("e"), P: c(rdf.IRI("http://x/num")), O: v("n")}}
+	run := []GroupElem{TriplePattern{S: v("e"), P: c(rdf.IRI("http://x/num")), O: v("n")}}
 
-	got, err := e.evalPatternRun(run, seed)
+	got, err := e.evalElems(run, nil, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.noIDJoin = true
-	want, err := e.evalPatternRun(run, seed)
+	want, err := e.evalElems(run, nil, seed)
 	e.noIDJoin = false
 	if err != nil {
 		t.Fatal(err)
@@ -231,9 +231,80 @@ func TestIDJoinMergeEdgeCases(t *testing.T) {
 
 	// Empty scan run: a constant mask matching nothing returns no rows from
 	// both paths without error.
-	none := []TriplePattern{{S: v("e"), P: c(rdf.IRI("http://x/cat")), O: c(rdf.NewLiteral("missing"))}}
-	got, err = e.evalPatternRun(none, seed)
+	none := []GroupElem{TriplePattern{S: v("e"), P: c(rdf.IRI("http://x/cat")), O: c(rdf.NewLiteral("missing"))}}
+	got, err = e.evalElems(none, nil, seed)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty run: got %d rows, err %v", len(got), err)
+	}
+}
+
+// pushdownQueries exercises FILTER pushdown and ID-space grouping: filters
+// on run variables (pushed), on variables the run does not bind (kept at
+// the group's end), inside OPTIONAL and UNION, around BIND and VALUES, and
+// grouped queries whose WHERE ends in a pattern run (ID keys) or not.
+var pushdownQueries = []struct {
+	name, q string
+}{
+	{"numeric range", `SELECT ?e ?v WHERE { ?e <http://x/num> ?v FILTER(?v >= 10 && ?v < 20) }`},
+	{"two filters one run", `SELECT ?e ?c ?v WHERE { ?e <http://x/cat> ?c . ?e <http://x/num> ?v FILTER(?v > 40) FILTER(?c != "c0") }`},
+	{"string filter", `SELECT ?e WHERE { ?e <http://x/cat> ?c FILTER(REGEX(?c, "1$") || STR(?e) = "http://x/e2") }`},
+	{"iri equality", `SELECT ?e ?o WHERE { ?e <http://x/link> ?o FILTER(?o = <http://x/e7> || ?o = ?e) }`},
+	{"filter on optional var", `SELECT ?e ?v WHERE { ?e <http://x/cat> "c1" OPTIONAL { ?e <http://x/num> ?v } FILTER(!BOUND(?v) || ?v > 30) }`},
+	{"filter inside optional", `SELECT ?e ?v WHERE { ?e <http://x/cat> "c2" OPTIONAL { ?e <http://x/num> ?v FILTER(?v > 25) } }`},
+	{"optional filter on outer var", `SELECT ?e ?o WHERE { ?e <http://x/cat> ?c OPTIONAL { ?e <http://x/link> ?o . ?o <http://x/cat> ?c2 FILTER(?c2 = ?c) } }`},
+	{"filters inside union", `SELECT ?e ?v WHERE { { ?e <http://x/num> ?v FILTER(?v < 3) } UNION { ?e <http://x/num> ?v FILTER(?v > 47) } }`},
+	{"filter across runs", `SELECT ?e ?o ?w WHERE { ?e <http://x/num> ?v OPTIONAL { ?e <http://x/rel> ?h } ?e <http://x/link> ?o . ?o <http://x/num> ?w FILTER(?v + ?w > 20) FILTER(?v < 10) }`},
+	{"filter before bind", `SELECT ?e ?w WHERE { ?e <http://x/num> ?v FILTER(?v > 44) BIND(?v * 2 AS ?w) }`},
+	{"filter on values var", `SELECT ?e ?v WHERE { VALUES ?lim { 5 40 } ?e <http://x/num> ?v FILTER(?v < ?lim) }`},
+	{"erroring filter", `SELECT ?e WHERE { ?e <http://x/cat> ?c FILTER(?c > 3 || ?c = "c1") }`},
+	{"constant filter", `SELECT ?e WHERE { ?e <http://x/cat> "c0" FILTER(1 > 2) }`},
+	{"filter limit", `SELECT ?e ?v WHERE { ?e <http://x/cat> ?c . ?e <http://x/num> ?v FILTER(?v > 20) } LIMIT 7`},
+	{"filter order limit", `SELECT ?e ?v WHERE { ?e <http://x/cat> "c1" . ?e <http://x/num> ?v FILTER(?v > 20) } ORDER BY DESC(?v) ?e LIMIT 5`},
+	{"group by run key", `SELECT ?c (COUNT(?e) AS ?n) (AVG(?v) AS ?m) (SUM(?v) AS ?s) (MIN(?v) AS ?lo) (MAX(?v) AS ?hi) (SAMPLE(?v) AS ?x) (GROUP_CONCAT(DISTINCT ?v; SEPARATOR=",") AS ?g) WHERE { ?e <http://x/cat> ?c . ?e <http://x/num> ?v FILTER(?v > 10) } GROUP BY ?c`},
+	{"group by two keys having", `SELECT ?c ?v (COUNT(*) AS ?n) WHERE { ?e <http://x/cat> ?c . ?e <http://x/num> ?v } GROUP BY ?c ?v HAVING (COUNT(*) > 1) ORDER BY DESC(?n) ?c ?v`},
+	{"group by expression", `SELECT (COUNT(DISTINCT ?e) AS ?n) (SUM(?v) AS ?s) WHERE { ?e <http://x/num> ?v } GROUP BY (?v / 10)`},
+	{"group key outside final run", `SELECT ?c (COUNT(?o) AS ?n) (MAX(?w) AS ?hi) WHERE { ?e <http://x/cat> ?c OPTIONAL { ?e <http://x/rel> ?h } ?e <http://x/link> ?o . ?o <http://x/num> ?w } GROUP BY ?c ORDER BY ?c`},
+	{"group after optional", `SELECT ?c (COUNT(?v) AS ?n) WHERE { ?e <http://x/cat> ?c OPTIONAL { ?e <http://x/num> ?v FILTER(?v < 5) } } GROUP BY ?c`},
+	{"aggregate empty", `SELECT (COUNT(*) AS ?n) (AVG(?v) AS ?m) WHERE { ?e <http://x/num> ?v FILTER(?v > 1000) }`},
+	{"aggregate no group by", `SELECT (COUNT(?e) AS ?n) (MIN(?c) AS ?lo) WHERE { ?e <http://x/cat> ?c FILTER(?c != "c2") }`},
+}
+
+// TestPushdownMatchesHashPath pins FILTER pushdown and ID-space grouping
+// to the term-space hash path, which filters only at each group's end and
+// groups decoded Bindings: same rows, same order, at every parallelism and
+// on both the streaming and the materializing pipeline.
+func TestPushdownMatchesHashPath(t *testing.T) {
+	st := idJoinStore(t)
+	for _, tc := range pushdownQueries {
+		for _, par := range []int{1, 8} {
+			for _, noStream := range []bool{false, true} {
+				ref := execOpts(t, st, tc.q, Options{Parallelism: par, NoStream: noStream, NoIDJoin: true})
+				got := execOpts(t, st, tc.q, Options{Parallelism: par, NoStream: noStream})
+				if !reflect.DeepEqual(ref.Vars, got.Vars) || !reflect.DeepEqual(ref.Rows, got.Rows) {
+					t.Errorf("%s (par=%d noStream=%v): pushdown path returned %d rows, hash path %d; first divergence: %v",
+						tc.name, par, noStream, len(got.Rows), len(ref.Rows), firstDiff(ref.Rows, got.Rows))
+				}
+				if len(ref.Rows) == 0 && tc.name != "constant filter" && tc.name != "aggregate empty" {
+					t.Errorf("%s: no rows; the case tests nothing", tc.name)
+				}
+			}
+		}
+	}
+}
+
+// TestPushdownBindGuard pins the BIND exception: a filter is not pushed
+// into a run whose variable a later BIND targets, so the BIND's error
+// surfaces exactly as without pushdown even when the filter rejects every
+// row.
+func TestPushdownBindGuard(t *testing.T) {
+	st := idJoinStore(t)
+	q := `SELECT ?e WHERE { ?e <http://x/num> ?v FILTER(?v > 1000) BIND(1 AS ?v) }`
+	_, refErr := ExecOpts(st, q, Options{Parallelism: 1, NoIDJoin: true})
+	_, err := ExecOpts(st, q, Options{Parallelism: 1})
+	if (refErr == nil) != (err == nil) {
+		t.Fatalf("hash path error %v, pushdown path error %v", refErr, err)
+	}
+	if err == nil {
+		t.Fatal("BIND onto a bound variable should fail the query")
 	}
 }

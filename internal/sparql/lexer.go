@@ -8,6 +8,28 @@
 // access path the "dynamic data" challenge assumes), so the engine is the
 // substrate every exploration feature in lodviz queries through.
 //
+// Evaluation: runs of consecutive triple patterns execute over dictionary
+// IDs (idjoin.go) and are decoded to Bindings once, after the run. FILTER
+// pushdown: a group filter moves into the first pattern run (in plan order)
+// whose patterns mention every variable it reads, unless a later element
+// BINDs one of the run's variables, and is evaluated on the run's ID rows
+// before any decode; every other filter applies at the group's end, as the
+// spec orders. Pushdown is exact — those variables are bound in every row
+// the run emits and later elements only extend rows — and applies inside
+// OPTIONAL, UNION and sub-groups and to the streamed tails alike. A grouped
+// query whose WHERE ends in a pattern run groups that run's ID rows
+// directly: keys that are run variables group on their IDs in
+// first-appearance order and aggregates fold incrementally, so only the
+// keys and the aggregate values are decoded.
+//
+// Expressions (FILTER, BIND, projection, ORDER BY, GROUP BY keys,
+// aggregates, HAVING) are compiled once per query into closures over typed
+// values (compile.go): dictionary terms are decoded and their numeric
+// values parsed at most once per query through a memo, constants are
+// folded, and booleans stay unboxed. The tests keep the original
+// tree-walking interpreter as the oracle the compiled evaluator is fuzzed
+// against.
+//
 // Observability: Options.Metrics attaches engine-wide counters (see
 // Metrics), and Options.Trace attaches a per-query execution trace — an
 // explain.Trace span tree with one span per plan stage recording the

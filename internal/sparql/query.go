@@ -2,7 +2,6 @@ package sparql
 
 import (
 	"context"
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -104,26 +103,27 @@ func evalWithEngine(e *engine, q *Query, opt Options) (res *Results, err error) 
 	if e.met != nil {
 		e.met.QueriesMaterialized.Inc()
 	}
-	sols, err := e.evalGroup(q.Where, []Binding{{}})
-	if err != nil {
-		return nil, err
-	}
-	if q.Form == FormAsk {
-		return &Results{Form: FormAsk, Ask: len(sols) > 0}, nil
-	}
-
-	grouped := len(q.GroupBy) > 0 || projectionHasAggregates(q)
 	var rows []Binding
 	var vars []string
-	if grouped {
-		rows, vars, err = evalGrouped(q, sols)
+	if q.Form == FormSelect && (len(q.GroupBy) > 0 || projectionHasAggregates(q)) {
+		rows, vars, err = e.evalGrouped(q)
 		if err != nil {
 			return nil, err
 		}
 	} else {
-		rows, vars, err = evalUngrouped(q, sols)
+		var sols []Binding
+		sols, err = e.evalGroup(q.Where, []Binding{{}})
 		if err != nil {
 			return nil, err
+		}
+		if q.Form == FormAsk {
+			return &Results{Form: FormAsk, Ask: len(sols) > 0}, nil
+		}
+		vars = streamVars(q)
+		rows = make([]Binding, 0, len(sols))
+		p := newProjector(q, vars, true)
+		for _, s := range sols {
+			rows = append(rows, p.project(s))
 		}
 	}
 
@@ -197,150 +197,96 @@ func exprHasAggregate(e Expr) bool {
 	return false
 }
 
-// evalUngrouped projects plain (non-aggregate) SELECT results. SELECT *
-// columns are resolved statically (every variable the pattern can bind,
-// sorted — see streamVars), so the header does not depend on which
-// evaluation path ran or which rows a LIMIT happened to keep.
-func evalUngrouped(q *Query, sols []Binding) ([]Binding, []string, error) {
-	vars := streamVars(q)
-	hidden := hiddenOrdNames(len(q.OrderBy))
-	rows := make([]Binding, 0, len(sols))
-	for _, s := range sols {
-		rows = append(rows, projectSolution(q, vars, s, hidden))
-	}
-	return rows, vars, nil
+// projector builds projected result rows from solutions with compiled
+// projection expressions. SELECT * columns are resolved statically (every
+// variable the pattern can bind, sorted — see streamVars), so the header
+// does not depend on which evaluation path ran or which rows a LIMIT
+// happened to keep.
+type projector struct {
+	q     *Query
+	vars  []string
+	items []evalFn // nil for a bare variable
+	// order evaluates the ORDER BY keys, stashed under hidden for sortRows.
+	order  []evalFn
+	hidden []string
+	en     env
 }
 
-// projectSolution builds one projected result row from a solution: the
-// star or explicit projection, plus — when hidden names are supplied — the
-// ORDER BY key values evaluated on the original solution and stashed under
-// those names for sortRows.
-func projectSolution(q *Query, vars []string, s Binding, hidden []string) Binding {
+func newProjector(q *Query, vars []string, withOrder bool) *projector {
+	p := &projector{q: q, vars: vars}
+	if !q.Star {
+		for _, item := range q.Projection {
+			var fn evalFn
+			if item.Expr != nil {
+				fn, _ = compileExpr(item.Expr)
+			}
+			p.items = append(p.items, fn)
+		}
+	}
+	if withOrder {
+		p.order = compileOrderKeys(q.OrderBy)
+		p.hidden = hiddenOrdNames(len(q.OrderBy))
+	}
+	return p
+}
+
+func compileOrderKeys(keys []OrderKey) []evalFn {
+	var fns []evalFn
+	for _, key := range keys {
+		fn, _ := compileExpr(key.Expr)
+		fns = append(fns, fn)
+	}
+	return fns
+}
+
+// project builds one projected result row from a solution, plus the ORDER
+// BY key values evaluated on the original solution when the projector was
+// built with them.
+func (p *projector) project(s Binding) Binding {
 	row := Binding{}
-	if q.Star {
-		for _, v := range vars {
+	p.en.b = s
+	if p.q.Star {
+		for _, v := range p.vars {
 			if t, ok := s[v]; ok {
 				row[v] = t
 			}
 		}
 	} else {
-		for _, item := range q.Projection {
-			if item.Expr == nil {
+		for i, item := range p.q.Projection {
+			if p.items[i] == nil {
 				if t, ok := s[item.Var]; ok {
 					row[item.Var] = t
 				}
-			} else if t, err := evalExpr(item.Expr, s); err == nil {
-				row[item.Var] = t
+			} else if v, ok := p.items[i](&p.en); ok {
+				row[item.Var] = v.term()
 			}
 		}
 	}
-	for i := range hidden {
-		if t, err := evalExpr(q.OrderBy[i].Expr, s); err == nil {
-			row[hidden[i]] = t
+	for i, fn := range p.order {
+		if v, ok := fn(&p.en); ok {
+			row[p.hidden[i]] = v.term()
 		}
 	}
 	return row
 }
 
-// evalGrouped implements GROUP BY + aggregates + HAVING.
-func evalGrouped(q *Query, sols []Binding) ([]Binding, []string, error) {
-	type grp struct {
-		key  []rdf.Term
-		rows []Binding
+// evalGrouped implements GROUP BY + aggregates + HAVING. A WHERE clause
+// ending in a pattern run hands its final rows over undecoded.
+func (e *engine) evalGrouped(q *Query) ([]Binding, []string, error) {
+	gq := compileGrouped(q)
+	g := unwrapGroup(q.Where)
+	sols, tail, err := e.evalElemsTail(e.planElems(g), g.Filters, []Binding{{}}, true)
+	if err != nil {
+		return nil, nil, err
 	}
-	groups := map[string]*grp{}
-	var order []string
-	for _, s := range sols {
-		key := make([]rdf.Term, len(q.GroupBy))
-		var sig strings.Builder
-		for i, ge := range q.GroupBy {
-			// Length-prefixed key components, for the same reason as
-			// distinctRows: a bare joiner would let ("x|","y") and
-			// ("x","|y") collide and merge two distinct groups.
-			if t, err := evalExpr(ge, s); err == nil {
-				key[i] = t
-				ks := t.String()
-				sig.WriteString(strconv.Itoa(len(ks)))
-				sig.WriteByte(':')
-				sig.WriteString(ks)
-			} else {
-				sig.WriteByte('~')
-			}
-		}
-		g, ok := groups[sig.String()]
-		if !ok {
-			g = &grp{key: key}
-			groups[sig.String()] = g
-			order = append(order, sig.String())
-		}
-		g.rows = append(g.rows, s)
+	if tail != nil {
+		memo, shared := e.acquireMemo()
+		gq.foldIDs(tail, memo)
+		e.releaseMemo(shared)
+	} else {
+		gq.foldBindings(sols)
 	}
-	// Implicit single group for aggregate queries without GROUP BY — but only
-	// when there are solutions; an empty input yields one empty group per the
-	// SPARQL spec (COUNT(*) = 0).
-	if len(q.GroupBy) == 0 && len(order) == 0 {
-		groups[""] = &grp{}
-		order = append(order, "")
-	}
-
-	var vars []string
-	for _, item := range q.Projection {
-		vars = append(vars, item.Var)
-	}
-
-	hidden := hiddenOrdNames(len(q.OrderBy))
-	var rows []Binding
-	for _, sig := range order {
-		g := groups[sig]
-		// Representative binding carries the group key values.
-		rep := Binding{}
-		for i, ge := range q.GroupBy {
-			if v, ok := ge.(ExVar); ok && g.key[i] != nil {
-				rep[v.Name] = g.key[i]
-			}
-		}
-		// HAVING.
-		keep := true
-		for _, h := range q.Having {
-			t, err := evalAggExpr(h, g.rows, rep)
-			if err != nil {
-				keep = false
-				break
-			}
-			v, ok := rdf.EffectiveBoolean(t)
-			if !ok || !v {
-				keep = false
-				break
-			}
-		}
-		if !keep {
-			continue
-		}
-		row := Binding{}
-		for _, item := range q.Projection {
-			var t rdf.Term
-			var err error
-			if item.Expr == nil {
-				// A bare variable must be a group key.
-				if v, ok := rep[item.Var]; ok {
-					t = v
-				} else {
-					err = fmt.Errorf("sparql: ?%s is not a GROUP BY key", item.Var)
-				}
-			} else {
-				t, err = evalAggExpr(item.Expr, g.rows, rep)
-			}
-			if err == nil && t != nil {
-				row[item.Var] = t
-			}
-		}
-		for i, key := range q.OrderBy {
-			if t, err := evalAggExpr(key.Expr, g.rows, rep); err == nil {
-				row[hidden[i]] = t
-			}
-		}
-		rows = append(rows, row)
-	}
+	rows, vars := gq.rows()
 	return rows, vars, nil
 }
 

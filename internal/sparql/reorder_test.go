@@ -183,11 +183,12 @@ func evalNoReorder(t *testing.T, st *store.Store, q *Query) *Results {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, vars, err := evalUngrouped(q, sols)
-	if err != nil {
-		t.Fatal(err)
+	vars := streamVars(q)
+	p := newProjector(q, vars, false)
+	rows := make([]Binding, 0, len(sols))
+	for _, s := range sols {
+		rows = append(rows, p.project(s))
 	}
-	stripHidden(rows, hiddenOrdNames(len(q.OrderBy)))
 	return &Results{Form: FormSelect, Vars: vars, Rows: rows}
 }
 

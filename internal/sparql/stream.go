@@ -389,12 +389,15 @@ func (h *topkHeap) Pop() any           { panic("topkHeap: never popped") }
 // is O(k) and sorting costs O(n log k) instead of O(n log n).
 func (e *engine) streamTopK(q *Query, k int) ([]Binding, error) {
 	h := &topkHeap{keys: q.OrderBy, entries: make([]topkEntry, 0, min(k, 1024))}
+	order := compileOrderKeys(q.OrderBy)
+	var en env
 	seq := 0
 	err := e.streamSolutions(q.Where, -1, func(s Binding) bool {
 		keys := make([]rdf.Term, len(q.OrderBy))
-		for i, key := range q.OrderBy {
-			if t, err := evalExpr(key.Expr, s); err == nil {
-				keys[i] = t
+		en.b = s
+		for i, fn := range order {
+			if v, ok := fn(&en); ok {
+				keys[i] = v.term()
 			}
 		}
 		ent := topkEntry{sol: s, keys: keys, seq: seq}
@@ -437,13 +440,14 @@ func (e *engine) runDirect(q *Query, vars []string, emit func(Binding) bool) err
 		}
 	}
 	skipped, emitted := 0, 0
+	p := newProjector(q, vars, false)
 	return e.streamSolutions(q.Where, budget, func(sol Binding) bool {
 		if skipped < q.Offset {
 			skipped++
 			return true
 		}
 		emitted++
-		if !emit(projectSolution(q, vars, sol, nil)) {
+		if !emit(p.project(sol)) {
 			return false
 		}
 		return q.Limit < 0 || emitted < q.Limit
@@ -526,8 +530,9 @@ func (e *engine) evalStreamFast(q *Query) (res *Results, ok bool, err error) {
 			}
 			hidden := hiddenOrdNames(len(q.OrderBy))
 			rows := make([]Binding, 0, len(sols))
+			p := newProjector(q, vars, true)
 			for _, s := range sols {
-				rows = append(rows, projectSolution(q, vars, s, hidden))
+				rows = append(rows, p.project(s))
 			}
 			sortRows(rows, q.OrderBy, hidden)
 			stripHidden(rows, hidden)

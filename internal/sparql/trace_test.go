@@ -182,3 +182,45 @@ func TestEngineMetrics(t *testing.T) {
 		t.Errorf("Updates = %d, want 1", met.Updates.Value())
 	}
 }
+
+// TestTraceFilterSpan pins the pushed-down filter's span: it hangs under
+// the last pattern span of the run it was pushed into and records the rows
+// entering and leaving the filter, so a trace shows where rows were
+// dropped. A filter left at the group's end (on the hash path, which does
+// not push filters) records no span.
+func TestTraceFilterSpan(t *testing.T) {
+	st := traceStore(t)
+	const q = `SELECT ?a ?v WHERE { ?a <http://x/cat> "c1" . ?a <http://x/num> ?v FILTER(?v > 1) }`
+	const want = `{"root":{"name":"query","durationMicros":0,"children":[` +
+		`{"name":"parse","durationMicros":0},` +
+		`{"name":"execute","strategy":"materialized","rowsOut":1,"durationMicros":0,"children":[` +
+		`{"name":"plan","detail":"?a <http://x/cat> \"c1\" . ?a <http://x/num> ?v","durationMicros":0},` +
+		`{"name":"pattern","detail":"?a <http://x/cat> \"c1\"","strategy":"id-cross","rowsIn":1,"rowsOut":2,"durationMicros":0},` +
+		`{"name":"pattern","detail":"?a <http://x/num> ?v","strategy":"id-merge","rowsIn":2,"rowsOut":2,"durationMicros":0,"children":[` +
+		`{"name":"filter","detail":"(?v > \"1\"^^<http://www.w3.org/2001/XMLSchema#integer>)","strategy":"id-filter","rowsIn":2,"rowsOut":1,"durationMicros":0}]}]}]}}`
+	for _, noIDJoin := range []bool{false, true} {
+		tr := explain.NewTrace()
+		res, err := ExecOpts(st, q, Options{Parallelism: 1, NoIDJoin: noIDJoin, Trace: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.Finish()
+		if len(res.Rows) != 1 {
+			t.Fatalf("noIDJoin=%v: rows = %d, want 1", noIDJoin, len(res.Rows))
+		}
+		tr.ZeroDurations()
+		var sb strings.Builder
+		enc := json.NewEncoder(&sb)
+		enc.SetEscapeHTML(false)
+		if err := enc.Encode(tr); err != nil {
+			t.Fatal(err)
+		}
+		got := strings.TrimSuffix(sb.String(), "\n")
+		if hasFilter := strings.Contains(got, `"name":"filter"`); hasFilter == noIDJoin {
+			t.Errorf("noIDJoin=%v: filter span present=%v\n%s", noIDJoin, hasFilter, got)
+		}
+		if !noIDJoin && got != want {
+			t.Errorf("trace mismatch\n got: %s\nwant: %s", got, want)
+		}
+	}
+}
