@@ -36,13 +36,15 @@ cover-server:
 
 # Short coverage-guided fuzz smoke over the text-format parsers, the
 # compiled SPARQL expression evaluator (differential against the reference
-# interpreter), and the federation results decoder (it consumes untrusted
-# remote bytes).
+# interpreter), the federation results decoder (it consumes untrusted
+# remote bytes), and the store's maintained cardinality table
+# (differential against a from-scratch recount).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseQuery -fuzztime=10s ./internal/sparql
 	$(GO) test -fuzz=FuzzExprDifferential -fuzztime=10s ./internal/sparql
 	$(GO) test -fuzz=FuzzNTriples -fuzztime=10s ./internal/ntriples
 	$(GO) test -fuzz=FuzzDecodeResults -fuzztime=10s ./internal/federation
+	$(GO) test -fuzz=FuzzCardinalityMaintenance -fuzztime=10s ./internal/store
 	$(GO) test -fuzz=FuzzWALDecode -fuzztime=10s ./internal/wal
 
 # Run the exploration server on the embedded demo dataset.
@@ -66,14 +68,17 @@ bench:
 
 # One-iteration smoke of the BGP join benchmarks (hash and dictionary-ID
 # executors), the ingestion benchmarks (bulk AddBatch vs the per-triple
-# Add loop at 100k triples), the federation bind-join benchmarks (batched
+# Add loop at 100k triples), the planner statistics after a 30-triple write
+# at 200k triples, the HETree build over a 20k-entity property, the
+# federation bind-join benchmarks (batched
 # VALUES dispatch vs one-request-per-binding at 1k bindings), and the
 # streaming LIMIT-pushdown pair: verifies the benchmark paths execute,
 # without timing noise gating CI. Timing regressions are gated separately
 # by bench-regression against the committed baseline.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=BGP -benchtime=1x .
-	$(GO) test -run='^$$' -bench='AddBatch|AddAll|AddSequential|SnapshotWrite' -benchtime=1x ./internal/store
+	$(GO) test -run='^$$' -bench='AddBatch|AddAll|AddSequential|SnapshotWrite|PlanAfterWrite' -benchtime=1x ./internal/store
+	$(GO) test -run='^$$' -bench=HETreeFromSource -benchtime=1x ./internal/hetree
 	$(GO) test -run='^$$' -bench=BindJoin -benchtime=1x ./internal/federation
 	$(GO) test -run='^$$' -bench=LimitPushdown -benchtime=1x .
 

@@ -24,8 +24,10 @@
 package hetree
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -128,15 +130,40 @@ func (o *Options) normalize() {
 // ErrNoData is returned when constructing a tree over no items.
 var ErrNoData = errors.New("hetree: no items")
 
-// New builds a HETree over items (copied and sorted by value).
+// New builds a HETree over items, copied and stably sorted by value: items
+// with equal values keep their input order, and NaN values sort before
+// every number (the cmp.Compare order).
 func New(items []Item, opts Options) (*Tree, error) {
 	if len(items) == 0 {
 		return nil, ErrNoData
 	}
-	opts.normalize()
+	// Sorting compact (value, position) keys is stable by construction and
+	// moves 16-byte keys instead of items.
+	type key struct {
+		value float64
+		pos   int
+	}
+	keys := make([]key, len(items))
+	for i, it := range items {
+		keys[i] = key{it.Value, i}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		if c := cmp.Compare(a.value, b.value); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pos, b.pos)
+	})
 	data := make([]Item, len(items))
-	copy(data, items)
-	sort.Slice(data, func(i, j int) bool { return data[i].Value < data[j].Value })
+	for i, k := range keys {
+		data[i] = items[k.pos]
+	}
+	return newSorted(data, opts), nil
+}
+
+// newSorted builds a tree over data, which must be non-empty and already
+// in New's order; the tree takes ownership of the slice.
+func newSorted(data []Item, opts Options) *Tree {
+	opts.normalize()
 	prefix := make([]float64, len(data)+1)
 	for i, it := range data {
 		prefix[i+1] = prefix[i] + it.Value
@@ -152,7 +179,7 @@ func New(items []Item, opts Options) (*Tree, error) {
 	if !opts.Incremental {
 		t.expandAll(t.root)
 	}
-	return t, nil
+	return t
 }
 
 // makeNode materializes one node covering data[lo:hi].

@@ -1,6 +1,7 @@
 package hetree
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -293,5 +294,35 @@ func TestItemsAccess(t *testing.T) {
 func TestModeString(t *testing.T) {
 	if ContentBased.String() != "HETree-C" || RangeBased.String() != "HETree-R" {
 		t.Error("mode labels wrong")
+	}
+}
+
+// TestNewStableSortAndNaN pins New's order: by value, equal values in
+// input order (with more items than any insertion-sort cutoff, in reverse
+// and shuffled input), and NaN before every number.
+func TestNewStableSortAndNaN(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	items := make([]Item, 500)
+	for i := range items {
+		items[i] = Item{Value: float64(rng.Intn(7)), Ref: i}
+	}
+	items[17].Value = math.NaN()
+	items[400].Value = math.NaN()
+	tree, err := New(items, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := tree.Items(tree.Root())
+	if !math.IsNaN(got[0].Value) || got[0].Ref != 17 || !math.IsNaN(got[1].Value) || got[1].Ref != 400 {
+		t.Fatalf("first items = %+v %+v, want the NaNs in input order", got[0], got[1])
+	}
+	for i := 3; i < len(got); i++ {
+		a, b := got[i-1], got[i]
+		if a.Value > b.Value || (a.Value == b.Value && a.Ref.(int) > b.Ref.(int)) {
+			t.Fatalf("items %d,%d = %+v %+v: not stably sorted", i-1, i, a, b)
+		}
+	}
+	if items[17].Ref != 17 || !math.IsNaN(items[17].Value) {
+		t.Fatal("New modified its input")
 	}
 }

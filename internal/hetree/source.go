@@ -1,9 +1,10 @@
 package hetree
 
 import (
+	"cmp"
 	"context"
 	"errors"
-	"sort"
+	"slices"
 
 	"github.com/lodviz/lodviz/internal/explore"
 	"github.com/lodviz/lodviz/internal/rdf"
@@ -15,12 +16,18 @@ import (
 var ErrNoValues = errors.New("hetree: property has no numeric or temporal values")
 
 // FromSource collects a property's items directly from the ID-space source
-// and builds the tree. The predicate-bound POS run arrives grouped by object,
-// so each distinct value is decoded and parsed (Float or Time) exactly once
-// no matter how many subjects share it — the old term-space path re-parsed
-// the literal for every statement. Terms are materialized in two batch
-// decodes (distinct objects, then subjects of numeric groups); ctx is
-// honored while grouping large runs.
+// and builds the tree in one flat pass over the predicate-bound POS run:
+//
+//   - the run arrives grouped by object, so the pass records each distinct
+//     object ID, where its subjects start, and the subject IDs — three flat
+//     slices, no per-group allocation (ctx is honored along the way);
+//   - the distinct objects are decoded in one batch and each is parsed
+//     (Float, else Time as Unix seconds) once, however many subjects share
+//     it; non-numeric, non-temporal objects are skipped;
+//   - the kept (value, subject ID) pairs are sorted by value, ties by
+//     subject ID, which pins the item order whatever the delta state;
+//   - the subjects are decoded in that order in one batch and become the
+//     items' Refs, and the tree is built over the already-sorted items.
 func FromSource(ctx context.Context, src explore.Source, prop rdf.IRI, opts Options) (*Tree, error) {
 	pid, ok := src.LookupTermID(prop)
 	if !ok {
@@ -30,87 +37,75 @@ func FromSource(ctx context.Context, src explore.Source, prop rdf.IRI, opts Opti
 	if !ok {
 		return nil, ErrNoValues
 	}
-	type group struct {
-		oid  store.ID
-		subs []store.ID
-	}
-	var groups []group
-	visited := 0
+	subs := make([]store.ID, 0, len(run.Sorted)+len(run.Tail))
+	var oids []store.ID
+	var starts []int // starts[i] is where oids[i]'s subjects begin in subs
 	var cerr error
 	run.ForEachSorted(func(t store.IDTriple) bool {
-		visited++
-		if visited%8192 == 0 {
+		if len(subs)%8192 == 8191 {
 			if cerr = ctx.Err(); cerr != nil {
 				return false
 			}
 		}
-		if len(groups) == 0 || groups[len(groups)-1].oid != t.O {
-			groups = append(groups, group{oid: t.O})
+		if len(oids) == 0 || oids[len(oids)-1] != t.O {
+			oids = append(oids, t.O)
+			starts = append(starts, len(subs))
 		}
-		g := &groups[len(groups)-1]
-		g.subs = append(g.subs, t.S)
+		subs = append(subs, t.S)
 		return true
 	})
 	if cerr != nil {
 		return nil, cerr
 	}
+	starts = append(starts, len(subs))
 
-	oids := make([]store.ID, len(groups))
-	for i, g := range groups {
-		oids[i] = g.oid
-	}
-	objTerms := src.Terms(oids)
-
-	// Parse each distinct object once; keep only numeric/temporal groups.
-	type parsed struct {
+	type key struct {
 		value float64
-		subs  []store.ID
+		sid   store.ID
 	}
-	var kept []parsed
-	var subIDs []store.ID
-	for i, g := range groups {
-		l, ok := objTerms[i].(rdf.Literal)
+	keys := make([]key, 0, len(subs))
+	for i, term := range src.Terms(oids) {
+		v, ok := itemValue(term)
 		if !ok {
 			continue
 		}
-		var v float64
-		if f, ok := l.Float(); ok {
-			v = f
-		} else if tm, ok := l.Time(); ok {
-			v = float64(tm.Unix())
-		} else {
-			continue
+		for _, sid := range subs[starts[i]:starts[i+1]] {
+			keys = append(keys, key{v, sid})
 		}
-		kept = append(kept, parsed{value: v, subs: g.subs})
-		subIDs = append(subIDs, g.subs...)
 	}
-	if len(kept) == 0 {
+	if len(keys) == 0 {
 		return nil, ErrNoValues
 	}
-	subTerms := src.Terms(subIDs)
-	subFor := make(map[store.ID]rdf.Term, len(subIDs))
-	for i, id := range subIDs {
-		subFor[id] = subTerms[i]
-	}
-	items := make([]Item, 0, len(subIDs))
-	for _, p := range kept {
-		for _, sid := range p.subs {
-			items = append(items, Item{Value: p.value, Ref: subFor[sid]})
+	slices.SortFunc(keys, func(a, b key) int {
+		if c := cmp.Compare(a.value, b.value); c != 0 {
+			return c
 		}
-	}
-	// Deterministic input order regardless of delta state: by value, then by
-	// subject dictionary ID (New sorts by value anyway; this pins tie order).
-	idx := make(map[rdf.Term]store.ID, len(subIDs))
-	for i, id := range subIDs {
-		idx[subTerms[i]] = id
-	}
-	sort.SliceStable(items, func(i, j int) bool {
-		if items[i].Value != items[j].Value {
-			return items[i].Value < items[j].Value
-		}
-		ti, _ := items[i].Ref.(rdf.Term)
-		tj, _ := items[j].Ref.(rdf.Term)
-		return idx[ti] < idx[tj]
+		return cmp.Compare(a.sid, b.sid)
 	})
-	return New(items, opts)
+
+	sids := subs[:len(keys)] // subs is spent; reuse it for the decode order
+	for i, k := range keys {
+		sids[i] = k.sid
+	}
+	items := make([]Item, len(keys))
+	for i, ref := range src.Terms(sids) {
+		items[i] = Item{Value: keys[i].value, Ref: ref}
+	}
+	return newSorted(items, opts), nil
+}
+
+// itemValue is a literal's ordering value: its number, or its timestamp in
+// Unix seconds; ok=false for every other term.
+func itemValue(t rdf.Term) (float64, bool) {
+	l, ok := t.(rdf.Literal)
+	if !ok {
+		return 0, false
+	}
+	if f, ok := l.Float(); ok {
+		return f, true
+	}
+	if tm, ok := l.Time(); ok {
+		return float64(tm.Unix()), true
+	}
+	return 0, false
 }

@@ -2,6 +2,7 @@ package hetree
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -146,5 +147,117 @@ func TestFromSourceCancelled(t *testing.T) {
 	// either a clean tree or the context error — but never a different one.
 	if _, err := FromSource(ctx, st, gen.Prop("num0"), Options{}); err != nil && err != context.Canceled {
 		t.Fatalf("err = %v, want nil or context.Canceled", err)
+	}
+}
+
+// referenceStore is a property whose POS run has every shape the flat build
+// must reproduce: a compacted base plus an unsorted delta tail interleaving
+// with it, values shared by many subjects, one subject holding both
+// "1"^^xsd:integer and "1.0"^^xsd:decimal, tombstoned statements, and
+// string and IRI objects that must be skipped.
+func referenceStore(t *testing.T) *store.Store {
+	t.Helper()
+	st := numericStore(t)
+	prop := gen.Prop("num0")
+	extra := []rdf.Triple{
+		{S: gen.Res("both", 0), P: prop, O: rdf.NewInteger(1)},
+		{S: gen.Res("both", 0), P: prop, O: rdf.NewDecimal(1.0)},
+		{S: gen.Res("both", 1), P: prop, O: rdf.NewInteger(1)},
+		{S: gen.Res("text", 0), P: prop, O: rdf.NewLiteral("not a number")},
+		{S: gen.Res("link", 0), P: prop, O: gen.Res("late", 0)},
+		{S: gen.Res("bad", 0), P: prop, O: rdf.NewTypedLiteral("x1", rdf.XSDInteger)},
+	}
+	for i := 0; i < 30; i++ {
+		// Inserted in descending subject order so the delta tail is not
+		// already sorted; three values shared by ten subjects each.
+		extra = append(extra, rdf.Triple{S: gen.Res("dup", 29-i), P: prop, O: rdf.NewDouble(float64(i % 3))})
+	}
+	if _, err := st.AddBatch(extra); err != nil {
+		t.Fatal(err)
+	}
+	// Tombstones in base and delta.
+	var gone []rdf.Triple
+	st.ForEach(store.Pattern{P: prop}, func(tr rdf.Triple) bool {
+		if len(gone) < 5 {
+			gone = append(gone, tr)
+		}
+		return true
+	})
+	gone = append(gone, rdf.Triple{S: gen.Res("dup", 7), P: prop, O: rdf.NewDouble(float64(22 % 3))})
+	if n, err := st.DeleteBatch(gone); err != nil || n != len(gone) {
+		t.Fatalf("DeleteBatch = %d, %v; want %d", n, err, len(gone))
+	}
+	return st
+}
+
+// TestFromSourceMatchesReference requires the flat build to produce exactly
+// the tree the grouped reference build does — item order, Refs and every
+// node aggregate — on a store with a delta tail and on its compaction, for
+// numeric and temporal properties and both partitioning modes.
+func TestFromSourceMatchesReference(t *testing.T) {
+	st := referenceStore(t)
+	for _, compacted := range []bool{false, true} {
+		if compacted {
+			st.Compact()
+		}
+		for _, prop := range []rdf.IRI{gen.Prop("num0"), gen.Prop("date0")} {
+			for _, opts := range []Options{
+				{},
+				{Mode: RangeBased, Degree: 3, LeafCapacity: 5},
+				{Mode: ContentBased, Degree: 2, LeafCapacity: 1},
+			} {
+				got, err := FromSource(context.Background(), st, prop, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := fromSourceReference(context.Background(), st, prop, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("compacted=%v prop %s opts %+v: flat build differs from the reference", compacted, prop, opts)
+				}
+			}
+		}
+	}
+	// The shapes above are really present: the integer/decimal pair gives
+	// one subject two items of value 1, and the skipped objects add none.
+	tree, err := FromSource(context.Background(), st, gen.Prop("num0"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ones := 0
+	for _, it := range tree.Items(tree.Root()) {
+		if it.Value == 1 && it.Ref == rdf.Term(gen.Res("both", 0)) {
+			ones++
+		}
+		if ref := it.Ref.(rdf.Term); ref == rdf.Term(gen.Res("text", 0)) || ref == rdf.Term(gen.Res("link", 0)) || ref == rdf.Term(gen.Res("bad", 0)) {
+			t.Fatalf("non-numeric object of %v became an item", ref)
+		}
+	}
+	if ones != 2 {
+		t.Fatalf("subject with 1 and 1.0 holds %d items of value 1, want 2", ones)
+	}
+}
+
+// TestFromSourceNaNFirst pins that a NaN value sorts before every number,
+// as New orders it.
+func TestFromSourceNaNFirst(t *testing.T) {
+	st := numericStore(t)
+	if err := st.Add(rdf.Triple{S: gen.Res("nan", 0), P: gen.Prop("num0"), O: rdf.NewDouble(math.NaN())}); err != nil {
+		t.Fatal(err)
+	}
+	tree, err := FromSource(context.Background(), st, gen.Prop("num0"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := tree.Items(tree.Root())
+	if !math.IsNaN(items[0].Value) || items[0].Ref != rdf.Term(gen.Res("nan", 0)) {
+		t.Fatalf("first item = %+v, want the NaN", items[0])
+	}
+	for _, it := range items[1:] {
+		if math.IsNaN(it.Value) {
+			t.Fatal("NaN item after the first")
+		}
 	}
 }

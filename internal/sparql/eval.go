@@ -3,6 +3,7 @@ package sparql
 import (
 	"context"
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"sync"
@@ -67,10 +68,16 @@ func (e *engine) evalGroup(g *Group, input []Binding) ([]Binding, error) {
 
 // planElems returns the group's elements in evaluation order.
 func (e *engine) planElems(g *Group) []GroupElem {
+	return e.planElemsBound(g, nil)
+}
+
+// planElemsBound is planElems for a group whose input rows already bind the
+// variables in bound (an OPTIONAL's inner group: its outer rows).
+func (e *engine) planElemsBound(g *Group, bound map[string]bool) []GroupElem {
 	if e.noReorder {
 		return g.Elems
 	}
-	elems := e.reorderTriplePatterns(g.Elems)
+	elems := e.reorderTriplePatterns(g.Elems, bound)
 	e.tracePlan(elems)
 	return elems
 }
@@ -348,10 +355,15 @@ func bindsAny(elems []GroupElem, vars []string) bool {
 // beats an unconstrained scan, regardless of author order. Estimates combine
 // the store's exact index-range counts over the constant positions with the
 // per-predicate cardinality table (store.Cardinalities) for join positions.
-// Non-pattern elements keep their positions.
-func (e *engine) reorderTriplePatterns(elems []GroupElem) []GroupElem {
+// Non-pattern elements keep their positions. seed names the variables the
+// group's input rows bind before its first element (nil for none); it is
+// not modified.
+func (e *engine) reorderTriplePatterns(elems []GroupElem, seed map[string]bool) []GroupElem {
 	out := make([]GroupElem, 0, len(elems))
-	bound := map[string]bool{}
+	bound := maps.Clone(seed)
+	if bound == nil {
+		bound = map[string]bool{}
+	}
 	i := 0
 	for i < len(elems) {
 		tp, ok := elems[i].(TriplePattern)
@@ -627,13 +639,26 @@ func unify(b Binding, vars [3]string, t rdf.Triple) (Binding, bool) {
 }
 
 // evalOptional implements left join: bindings that match the inner group are
-// extended; the rest pass through unchanged. Each input binding's inner
-// evaluation is independent, so large inputs fan out to the worker pool.
+// extended; the rest pass through unchanged. The inner group is planned
+// once, knowing which variables the outer rows bind — so a join on them
+// leads instead of a scan over the inner group's constants — and each
+// input binding's inner evaluation is independent, so large inputs fan out
+// to the worker pool.
 func (e *engine) evalOptional(opt Optional, input []Binding) ([]Binding, error) {
+	if len(input) == 0 {
+		return nil, nil
+	}
+	bound := map[string]bool{}
+	for _, b := range input {
+		for v := range b {
+			bound[v] = true
+		}
+	}
+	elems := e.planElemsBound(opt.Inner, bound)
 	return e.parMap(input, func(chunk []Binding) ([]Binding, error) {
 		var out []Binding
 		for _, b := range chunk {
-			matched, err := e.evalGroup(opt.Inner, []Binding{b})
+			matched, err := e.evalElems(elems, opt.Inner.Filters, []Binding{b})
 			if err != nil {
 				return nil, err
 			}

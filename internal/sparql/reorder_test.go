@@ -51,7 +51,7 @@ func TestReorderSelectiveBeforeBroad(t *testing.T) {
 		{broad, selective},
 		{selective, broad},
 	} {
-		got := patterns(e.reorderTriplePatterns(order))
+		got := patterns(e.reorderTriplePatterns(order, nil))
 		if len(got) != 2 || got[0] != selective {
 			t.Errorf("order %v: selective pattern not first: %v", order, got)
 		}
@@ -64,7 +64,7 @@ func TestReorderUnboundLast(t *testing.T) {
 	e := &engine{st: reorderStore(t), par: 1}
 	unbound := TriplePattern{S: tpVar("a"), P: tpVar("b"), O: tpVar("c")}
 	typed := TriplePattern{S: tpVar("s"), P: tpTerm(rdf.RDFType), O: tpIRI("http://r/Item")}
-	got := patterns(e.reorderTriplePatterns([]GroupElem{unbound, typed}))
+	got := patterns(e.reorderTriplePatterns([]GroupElem{unbound, typed}, nil))
 	if len(got) != 2 || got[0] != typed {
 		t.Errorf("unbound pattern should run last, got %v", got)
 	}
@@ -89,7 +89,7 @@ func TestReorderPrefersJoinBoundPattern(t *testing.T) {
 	seed := TriplePattern{S: tpVar("s"), P: tpIRI(ns + "name"), O: tpTerm(rdf.NewLiteral("n7"))}
 	joined := TriplePattern{S: tpVar("s"), P: tpIRI(ns + "age"), O: tpVar("v")}
 	other := TriplePattern{S: tpVar("x"), P: tpIRI(ns + "name"), O: tpVar("y")}
-	got := patterns(e.reorderTriplePatterns([]GroupElem{other, joined, seed}))
+	got := patterns(e.reorderTriplePatterns([]GroupElem{other, joined, seed}, nil))
 	want := []TriplePattern{seed, joined, other}
 	for i := range want {
 		if got[i] != want[i] {
@@ -105,7 +105,7 @@ func TestReorderKeepsNonPatternPositions(t *testing.T) {
 	broad := TriplePattern{S: tpVar("s"), P: tpTerm(rdf.RDFType), O: tpIRI("http://r/Item")}
 	selective := TriplePattern{S: tpVar("s"), P: tpIRI("http://r/special"), O: tpTerm(rdf.NewLiteral("yes"))}
 	bind := Bind{Var: "b", Expr: ExTerm{Term: rdf.NewInteger(1)}}
-	got := e.reorderTriplePatterns([]GroupElem{broad, bind, selective})
+	got := e.reorderTriplePatterns([]GroupElem{broad, bind, selective}, nil)
 	if _, ok := got[1].(Bind); !ok {
 		t.Fatalf("BIND moved: %v", got)
 	}
@@ -201,7 +201,7 @@ func TestEstimateFanoutDeadPatternFirst(t *testing.T) {
 		t.Fatalf("estimateFanout(dead) = %v, want 0", est)
 	}
 	broad := TriplePattern{S: tpVar("s"), P: tpTerm(rdf.RDFType), O: tpIRI("http://r/Item")}
-	got := patterns(e.reorderTriplePatterns([]GroupElem{broad, dead}))
+	got := patterns(e.reorderTriplePatterns([]GroupElem{broad, dead}, nil))
 	if got[0] != dead {
 		t.Errorf("dead pattern should be scheduled first: %v", got)
 	}

@@ -189,7 +189,7 @@ func (e *engine) streamSolutions(g *Group, budget int, emit func(Binding) bool) 
 	g = unwrapGroup(g)
 	elems := g.Elems
 	if !e.noReorder {
-		elems = e.reorderTriplePatterns(elems)
+		elems = e.reorderTriplePatterns(elems, nil)
 		e.tracePlan(elems)
 	}
 	first := -1

@@ -95,3 +95,32 @@ func BenchmarkSnapshotWrite(b *testing.B) {
 type discard struct{}
 
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
+
+// BenchmarkPlanAfterWrite is what one write costs the next query's planner:
+// a 30-triple AddBatch into a 200k-triple store, then the cardinality
+// table the planner reads.
+func BenchmarkPlanAfterWrite(b *testing.B) {
+	st := New()
+	if _, err := st.AddBatch(ingestBatch(200_000)); err != nil {
+		b.Fatal(err)
+	}
+	batch := make([]rdf.Triple, 30)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range batch {
+			k := i*len(batch) + j
+			batch[j] = rdf.T(
+				rdf.IRI(fmt.Sprintf("http://e/s%d", k%25_000)),
+				rdf.IRI(fmt.Sprintf("http://e/p%d", k%16)),
+				rdf.IRI(fmt.Sprintf("http://e/w%d", k)),
+			)
+		}
+		if _, err := st.AddBatch(batch); err != nil {
+			b.Fatal(err)
+		}
+		if len(st.Cardinalities()) != 16 {
+			b.Fatal("cardinality table lost a predicate")
+		}
+	}
+}

@@ -13,8 +13,8 @@ import (
 
 // WriteSnapshot serializes the store to w in the versioned, checksummed
 // snapshot format (see internal/snapshot): the full term dictionary, the
-// sorted SPO index, and (format v2) the per-predicate cardinality table so a
-// restored store starts with a warm query planner.
+// sorted SPO index, and (format v2) the per-predicate cardinality table,
+// which ReadSnapshot verifies with the checksum but recounts.
 //
 // The snapshot is a consistent point-in-time image: pending deltas and
 // tombstones are compacted first, then the dictionary, index, and
@@ -26,9 +26,6 @@ func (st *Store) WriteSnapshot(w io.Writer) error {
 	st.mergeLocked()
 	terms := st.terms[:len(st.terms):len(st.terms)]
 	spo := st.spo[:len(st.spo):len(st.spo)]
-	if st.cards == nil {
-		st.cards = st.computeCardinalitiesLocked()
-	}
 	stats := make([]snapshot.PredStat, 0, len(st.cards))
 	for p, c := range st.cards {
 		pid, ok := st.dict[rdf.Term(p)]
@@ -123,36 +120,15 @@ func ReadSnapshot(r io.Reader) (*Store, error) {
 		prev = e
 		s.spo = append(s.spo, e)
 	}
-	// A v2 snapshot carries the per-predicate cardinality table; restoring
-	// it pre-warms the planner cache that would otherwise be recomputed by
-	// an O(n) scan on the first query. v1 snapshots restore with a cold
-	// cache, exactly as before. Close verifies the checksum over the whole
-	// stream (stats included), so the table is only trusted after it.
-	stats, err := sr.Stats()
-	if err != nil {
+	// A v2 snapshot carries the per-predicate cardinality table. It is
+	// read (Close verifies the checksum over the whole stream, stats
+	// included) but not trusted: rebuilding the indexes below recounts the
+	// table in one pass, which v1 snapshots need anyway.
+	if _, err := sr.Stats(); err != nil {
 		return nil, err
 	}
 	if err := sr.Close(); err != nil {
 		return nil, err
-	}
-	if len(stats) > 0 {
-		cards := make(map[rdf.IRI]PredCardinality, len(stats))
-		for _, ps := range stats {
-			p, ok := s.terms[ps.Pred].(rdf.IRI)
-			if !ok {
-				return nil, fmt.Errorf("%w: stats predicate %d is not an IRI", snapshot.ErrCorrupt, ps.Pred)
-			}
-			const maxInt = int(^uint(0) >> 1)
-			if ps.Triples > uint64(maxInt) || ps.DistinctSubjects > uint64(maxInt) || ps.DistinctObjects > uint64(maxInt) {
-				return nil, fmt.Errorf("%w: stats entry for predicate %d overflows", snapshot.ErrCorrupt, ps.Pred)
-			}
-			cards[p] = PredCardinality{
-				Triples:          int(ps.Triples),
-				DistinctSubjects: int(ps.DistinctSubjects),
-				DistinctObjects:  int(ps.DistinctObjects),
-			}
-		}
-		s.cards = cards
 	}
 
 	s.rebuildDerivedLocked()

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"maps"
+	"slices"
 	"sort"
 
 	"github.com/lodviz/lodviz/internal/rdf"
@@ -101,33 +103,28 @@ func (st *Store) ComputeStats() Stats {
 }
 
 // PredCardinality holds the per-predicate cardinalities the SPARQL planner
-// uses for join-selectivity estimation: how many statements use the
+// uses for join-selectivity estimation: how many live statements use the
 // predicate, and how many distinct terms appear on each side. The expected
 // fan-out of probing `?s <p> ?o` with ?s already bound is
 // Triples/DistinctSubjects; with ?o bound it is Triples/DistinctObjects.
+// The store keeps the table exact under every write (see Cardinalities).
 type PredCardinality struct {
 	Triples          int
 	DistinctSubjects int
 	DistinctObjects  int
 }
 
-// Cardinalities returns the per-predicate cardinality table. The result is
-// cached inside the store and recomputed lazily after mutations, so steady
-// read-mostly query workloads pay for the O(n) scan once. Callers must treat
-// the returned map as read-only.
+// Cardinalities returns the per-predicate cardinality table of the live
+// triple set. The table is maintained by the store rather than recomputed:
+// index rebuilds (bulk load, compaction, snapshot restore) count it in one
+// pass over the PSO and POS indexes, and every write batch updates it for
+// its effective triples in O(batch·log n + |delta|) under the write lock it
+// already holds. A call is therefore one read-locked pointer load. The map
+// is copy-on-write — later writes publish a new one — so callers may keep
+// it, but must treat it as read-only.
 func (st *Store) Cardinalities() map[rdf.IRI]PredCardinality {
 	st.mu.RLock()
-	if c := st.cards; c != nil {
-		st.mu.RUnlock()
-		return c
-	}
-	st.mu.RUnlock()
-
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.cards == nil {
-		st.cards = st.computeCardinalitiesLocked()
-	}
+	defer st.mu.RUnlock()
 	return st.cards
 }
 
@@ -137,47 +134,171 @@ func (st *Store) PredicateCardinality(p rdf.IRI) (PredCardinality, bool) {
 	return c, ok
 }
 
-// computeCardinalitiesLocked scans base + delta once, in ID space, skipping
-// tombstones. Caller holds mu.
-func (st *Store) computeCardinalitiesLocked() map[rdf.IRI]PredCardinality {
-	type acc struct {
-		triples int
-		subj    map[ID]struct{}
-		obj     map[ID]struct{}
-	}
-	per := map[ID]*acc{}
-	visit := func(e enc) {
-		if _, dead := st.deleted[e]; dead {
-			return
+// countCardinalitiesLocked counts the table from the PSO and POS indexes in
+// one pass, with no maps. Both are sorted by predicate first and hold the
+// same triples, so each predicate's run spans the same positions in both;
+// inside a run PSO groups the subjects and POS the objects, and every group
+// start is one distinct value. Caller holds mu, and the delta and
+// tombstones must be empty (the indexes are the whole live set).
+func (st *Store) countCardinalitiesLocked() map[rdf.IRI]PredCardinality {
+	out := make(map[rdf.IRI]PredCardinality)
+	pso, pos := st.pso, st.pos
+	for i := 0; i < len(pso); {
+		p := pso[i].p
+		c := PredCardinality{DistinctSubjects: 1, DistinctObjects: 1}
+		j := i + 1
+		for ; j < len(pso) && pso[j].p == p; j++ {
+			if pso[j].s != pso[j-1].s {
+				c.DistinctSubjects++
+			}
+			if pos[j].o != pos[j-1].o {
+				c.DistinctObjects++
+			}
 		}
-		a := per[e.p]
-		if a == nil {
-			a = &acc{subj: map[ID]struct{}{}, obj: map[ID]struct{}{}}
-			per[e.p] = a
+		c.Triples = j - i
+		if iri, ok := st.terms[p].(rdf.IRI); ok {
+			out[iri] = c
 		}
-		a.triples++
-		a.subj[e.s] = struct{}{}
-		a.obj[e.o] = struct{}{}
+		i = j
 	}
-	for _, e := range st.pos {
-		visit(e)
+	return out
+}
+
+// updateCardsLocked folds one write batch into the cardinality table,
+// copy-on-write. es are the batch's effective triples, distinct, and sign
+// is +1 for inserts and undeletes or -1 for deletes. It must run while the
+// store holds none of es live: before an insert batch is applied, after a
+// delete batch is. A predicate's distinct-subject count then changes by
+// sign exactly for the (p,s) pairs of es that no live triple holds — the
+// pairs going 0↔1 live triples — and likewise for (p,o) pairs and objects.
+// IDs at or above fresh were interned by this batch, so no stored triple
+// can hold a pair containing one; pass ID(len(st.terms)) when none are.
+// Caller holds mu.
+func (st *Store) updateCardsLocked(es []enc, sign int, fresh ID) {
+	// Pairs travel as PackPair keys. Inside the store the packing is known
+	// (p in the high half), so packed pairs sort by (p, v) and k>>32 is p.
+	change := make(map[ID]PredCardinality, 4)
+	subj := make([]uint64, len(es))
+	obj := make([]uint64, len(es))
+	for i, e := range es {
+		c := change[e.p]
+		c.Triples += sign
+		change[e.p] = c
+		subj[i], obj[i] = PackPair(e.p, e.s), PackPair(e.p, e.o)
 	}
-	for _, e := range st.delta {
-		visit(e)
+	subjDead, subjCheck := st.splitPairsLocked(subj, fresh, st.pso, rangePSO)
+	objDead, objCheck := st.splitPairsLocked(obj, fresh, st.pos, rangePOS)
+	// One pass over the delta settles the pairs the base does not hold.
+	// Pairs sort by predicate first, so [pLo, pHi] bounds the predicates
+	// worth a search.
+	subjHeld := make([]bool, len(subjCheck))
+	objHeld := make([]bool, len(objCheck))
+	pending := len(subjCheck) + len(objCheck)
+	pLo, pHi := ^ID(0), ID(0)
+	for _, check := range [][]uint64{subjCheck, objCheck} {
+		if len(check) > 0 {
+			pLo, pHi = min(pLo, ID(check[0]>>32)), max(pHi, ID(check[len(check)-1]>>32))
+		}
 	}
-	out := make(map[rdf.IRI]PredCardinality, len(per))
-	for pid, a := range per {
-		p, ok := st.terms[pid].(rdf.IRI)
+	for i := 0; pending > 0 && i < len(st.delta); i++ {
+		d := st.delta[i]
+		if d.p < pLo || d.p > pHi {
+			continue
+		}
+		si, inS := slices.BinarySearch(subjCheck, PackPair(d.p, d.s))
+		oi, inO := slices.BinarySearch(objCheck, PackPair(d.p, d.o))
+		inS = inS && !subjHeld[si]
+		inO = inO && !objHeld[oi]
+		if !inS && !inO {
+			continue
+		}
+		if _, dead := st.deleted[d]; dead {
+			continue
+		}
+		if inS {
+			subjHeld[si] = true
+			pending--
+		}
+		if inO {
+			objHeld[oi] = true
+			pending--
+		}
+	}
+	for i, k := range subjCheck {
+		if !subjHeld[i] {
+			subjDead = append(subjDead, k)
+		}
+	}
+	for i, k := range objCheck {
+		if !objHeld[i] {
+			objDead = append(objDead, k)
+		}
+	}
+	for _, k := range subjDead {
+		c := change[ID(k>>32)]
+		c.DistinctSubjects += sign
+		change[ID(k>>32)] = c
+	}
+	for _, k := range objDead {
+		c := change[ID(k>>32)]
+		c.DistinctObjects += sign
+		change[ID(k>>32)] = c
+	}
+
+	cards := maps.Clone(st.cards)
+	for pid, d := range change {
+		iri, ok := st.terms[pid].(rdf.IRI)
 		if !ok {
 			continue
 		}
-		out[p] = PredCardinality{
-			Triples:          a.triples,
-			DistinctSubjects: len(a.subj),
-			DistinctObjects:  len(a.obj),
+		c := cards[iri]
+		c.Triples += d.Triples
+		c.DistinctSubjects += d.DistinctSubjects
+		c.DistinctObjects += d.DistinctObjects
+		if c.Triples == 0 {
+			delete(cards, iri)
+		} else {
+			cards[iri] = c
 		}
 	}
-	return out
+	st.cards = cards
+}
+
+// splitPairsLocked sorts and deduplicates packed (p, v) pairs (PackPair)
+// and drops the ones a live triple of the sorted index idx holds (rng is
+// its range search). Of the rest, dead holds the pairs with an ID at or
+// above fresh, which no stored triple can hold; check holds the others,
+// sorted, which only the delta may still hold. dead reuses pairs' array.
+// Caller holds mu.
+func (st *Store) splitPairsLocked(pairs []uint64, fresh ID, idx []enc, rng func([]enc, ID, ID) (int, int)) (dead, check []uint64) {
+	slices.Sort(pairs)
+	dead = pairs[:0]
+	for _, k := range slices.Compact(pairs) {
+		p, v := ID(k>>32), ID(k)
+		if p >= fresh || v >= fresh {
+			dead = append(dead, k)
+			continue
+		}
+		if lo, hi := rng(idx, p, v); !st.anyLiveLocked(idx[lo:hi]) {
+			check = append(check, k)
+		}
+	}
+	return dead, check
+}
+
+// anyLiveLocked reports whether any entry of an index range is not
+// tombstoned. It stops at the first live entry, so a range is walked in
+// full only when tombstones shadow its head. Caller holds mu.
+func (st *Store) anyLiveLocked(r []enc) bool {
+	if len(st.deleted) == 0 {
+		return len(r) > 0
+	}
+	for _, e := range r {
+		if _, dead := st.deleted[e]; !dead {
+			return true
+		}
+	}
+	return false
 }
 
 // DegreeHistogram returns, for each out-degree d present, how many subjects

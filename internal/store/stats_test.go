@@ -52,7 +52,7 @@ func TestCardinalitiesInvalidatedByWrites(t *testing.T) {
 	if got := st.Cardinalities()[iri("p1")].Triples; got != 1 {
 		t.Fatalf("initial Triples = %d, want 1", got)
 	}
-	// An insert must invalidate the cached table.
+	// An insert must show in the table.
 	if err := st.Add(tr("s2", "p1", "o2")); err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestCardinalitiesConcurrentReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Hammer the lazy cache from many goroutines; -race verifies safety.
+	// Hammer the table from many goroutines; -race verifies safety.
 	done := make(chan map[rdf.IRI]PredCardinality, 8)
 	for g := 0; g < 8; g++ {
 		go func() { done <- st.Cardinalities() }()
@@ -119,9 +119,8 @@ func TestCardinalitiesConcurrentReaders(t *testing.T) {
 
 func TestCardinalitiesWarmStartAfterDeleteSnapshotRestore(t *testing.T) {
 	// A delete burst, then snapshot, then restore: the restored store's
-	// warm-started cardinality table (persisted v2 stats) must match a
-	// fresh recount over the surviving triples — tombstoned triples must
-	// not leak into the persisted statistics.
+	// cardinality table must match a fresh recount over the surviving
+	// triples — tombstoned triples must not leak into it.
 	var triples []rdf.Triple
 	for i := 0; i < 200; i++ {
 		triples = append(triples,

@@ -74,8 +74,11 @@ type Store struct {
 	// positions intact and do not advance it.
 	layout uint64
 
-	// cards caches per-predicate cardinalities for the query planner;
-	// nil means stale. Guarded by mu, invalidated on every mutation.
+	// cards is the per-predicate cardinality table for the query planner,
+	// always exact for the live triple set: counted from the indexes when
+	// they are rebuilt, updated per batch by the write paths (stats.go).
+	// Guarded by mu and copy-on-write — a published map is never mutated,
+	// so readers may keep it after releasing the lock.
 	cards map[rdf.IRI]PredCardinality
 
 	// wal, when set via SetWAL, receives every effective mutation before it
@@ -94,6 +97,7 @@ func New() *Store {
 		dict:    make(map[rdf.Term]ID),
 		terms:   make([]rdf.Term, 1),
 		deleted: make(map[enc]struct{}),
+		cards:   map[rdf.IRI]PredCardinality{},
 	}
 }
 
@@ -251,6 +255,7 @@ func (st *Store) addBatchLocked(triples []rdf.Triple) (int, uint64, error) {
 		st.terms = slices.Grow(st.terms, 2*len(triples))
 	}
 
+	fresh := ID(len(st.terms)) // the IDs this batch interns start here
 	batch := make([]enc, 0, len(triples))
 	// Predicates repeat heavily within a batch; caching their IDs by the
 	// concrete IRI type avoids boxing each one into an interface per triple.
@@ -289,7 +294,6 @@ func (st *Store) addBatchLocked(triples []rdf.Triple) (int, uint64, error) {
 		st.layout++
 		if st.size > 0 {
 			st.gen++
-			st.cards = nil
 		}
 		return st.size, seq, nil
 	}
@@ -324,6 +328,8 @@ func (st *Store) addBatchLocked(triples []rdf.Triple) (int, uint64, error) {
 		return 0, 0, err
 	}
 
+	// The table update reads the pre-batch state, so it runs before apply.
+	st.updateCardsLocked(effective, +1, fresh)
 	for _, e := range effective {
 		if _, dead := st.deleted[e]; dead {
 			delete(st.deleted, e)
@@ -334,7 +340,6 @@ func (st *Store) addBatchLocked(triples []rdf.Triple) (int, uint64, error) {
 		st.size++
 	}
 	st.gen++
-	st.cards = nil
 	if len(st.delta) > 1024 && len(st.delta) > len(st.spo)/8 {
 		st.mergeLocked()
 	}
@@ -406,8 +411,9 @@ func (st *Store) deleteBatchLocked(triples []rdf.Triple) (int, uint64, error) {
 		st.deleted[e] = struct{}{}
 		st.size--
 	}
+	// The table update reads the post-batch state, so it runs after apply.
+	st.updateCardsLocked(present, -1, ID(len(st.terms)))
 	st.gen++
-	st.cards = nil
 	if len(st.deleted) > 1024 && len(st.deleted) > len(st.spo)/8 {
 		st.mergeLocked()
 	}
@@ -514,7 +520,9 @@ func (st *Store) sortSPOLocked(in []enc) []enc {
 }
 
 // rebuildDerivedLocked derives the OSP, POS and PSO indexes from a sorted,
-// deduplicated SPO index. Three stable counting passes do it without a
+// deduplicated SPO index, then counts the cardinality table from them (the
+// callers — bulk load, compaction, snapshot restore — leave no delta or
+// tombstones behind). Three stable counting passes do it without a
 // single comparison: spo is ordered (s,p,o), so stably reordering it by o
 // leaves ties ordered (s,p) — exactly OSP — stably reordering OSP by p
 // leaves ties ordered (o,s) — exactly POS — and stably reordering SPO by p
@@ -532,14 +540,15 @@ func (st *Store) rebuildDerivedLocked() {
 		slices.SortFunc(st.pos, cmpPOS)
 		copy(st.pso, st.spo)
 		slices.SortFunc(st.pso, cmpPSO)
-		return
+	} else {
+		counts := make([]uint32, len(st.terms))
+		countingPass(st.spo, st.osp, counts, byO)
+		clear(counts)
+		countingPass(st.osp, st.pos, counts, byP)
+		clear(counts)
+		countingPass(st.spo, st.pso, counts, byP)
 	}
-	counts := make([]uint32, len(st.terms))
-	countingPass(st.spo, st.osp, counts, byO)
-	clear(counts)
-	countingPass(st.osp, st.pos, counts, byP)
-	clear(counts)
-	countingPass(st.spo, st.pso, counts, byP)
+	st.cards = st.countCardinalitiesLocked()
 }
 
 func byS(e enc) ID { return e.s }
