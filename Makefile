@@ -11,8 +11,8 @@ build:
 test:
 	$(GO) test ./...
 
-# Race-detector pass over the concurrent packages: query engine (both the
-# hash-join and dictionary-ID merge-join executors), store (including the
+# Race-detector pass over the concurrent packages: query engine (the
+# dictionary-ID executor's parallel probes and paged streaming driver), store (including the
 # snapshot round-trip under concurrent writers and the permutation ID
 # scans with epoch restarts), snapshot format, the federation mesh
 # (parallel bind-join batches, circuit breakers, TTL cache), HTTP server,
@@ -36,12 +36,14 @@ cover-server:
 
 # Short coverage-guided fuzz smoke over the text-format parsers, the
 # compiled SPARQL expression evaluator (differential against the reference
-# interpreter), the federation results decoder (it consumes untrusted
+# interpreter), whole queries over random graphs (differential against the
+# reference evaluator), the federation results decoder (it consumes untrusted
 # remote bytes), and the store's maintained cardinality table
 # (differential against a from-scratch recount).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseQuery -fuzztime=10s ./internal/sparql
 	$(GO) test -fuzz=FuzzExprDifferential -fuzztime=10s ./internal/sparql
+	$(GO) test -fuzz=FuzzQueryDifferential -fuzztime=10s ./internal/sparql
 	$(GO) test -fuzz=FuzzNTriples -fuzztime=10s ./internal/ntriples
 	$(GO) test -fuzz=FuzzDecodeResults -fuzztime=10s ./internal/federation
 	$(GO) test -fuzz=FuzzCardinalityMaintenance -fuzztime=10s ./internal/store
@@ -66,8 +68,8 @@ serve-cluster:
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem .
 
-# One-iteration smoke of the BGP join benchmarks (hash and dictionary-ID
-# executors), the ingestion benchmarks (bulk AddBatch vs the per-triple
+# One-iteration smoke of the BGP join benchmarks (dictionary-ID executor,
+# sequential and parallel), the ingestion benchmarks (bulk AddBatch vs the per-triple
 # Add loop at 100k triples), the planner statistics after a 30-triple write
 # at 200k triples, the HETree build over a 20k-entity property, the
 # federation bind-join benchmarks (batched

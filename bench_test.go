@@ -425,11 +425,10 @@ func BenchmarkBGPJoinParallel(b *testing.B) { benchBGPJoin(b, 0) }
 // NumCPU is large enough that scheduling noise dominates.
 func BenchmarkBGPJoinParallel4(b *testing.B) { benchBGPJoin(b, 4) }
 
-// E13b — dictionary-ID execution vs the term-space hash path, isolated at
-// Parallelism 1 so the comparison measures the executor, not the pool. The
-// Hash variants force Options.NoIDJoin; the IDs variants run the default
-// merge-join path. cmd/benchharness -scenarios store records the ratio in
-// BENCH_store.json and the CI bench-regression job gates on it.
+// E13b — dictionary-ID execution of the bound-predicate and bound-object
+// joins, isolated at Parallelism 1 so the measurement is the executor, not
+// the pool. cmd/benchharness -scenarios store records the timings in
+// BENCH_store.json and the CI bench-regression job tracks them.
 
 func benchBGPJoinOpts(b *testing.B, query string, opt sparql.Options) {
 	st := bgpJoinStore(b)
@@ -452,8 +451,7 @@ func benchBGPJoinOpts(b *testing.B, query string, opt sparql.Options) {
 // boundPQuery is the bound-predicate case: both patterns scan a full
 // predicate range and equi-join on subject AND category value, so all 20k
 // entities flow through the join but only ~1/8 survive the value equality.
-// The term-space path materializes a Binding map per intermediate row; the
-// ID path keeps the intermediates as uint32 rows and only decodes the
+// The executor keeps the intermediates as uint32 rows and only decodes the
 // survivors.
 func boundPQuery() string {
 	return fmt.Sprintf(`SELECT ?e ?c WHERE { ?e <%s> ?c . ?e <%s> ?c . }`,
@@ -468,16 +466,8 @@ func boundOQuery() string {
 		string(gen.Prop("cat0")), string(gen.Prop("rel0")), string(gen.Prop("cat0")))
 }
 
-func BenchmarkBGPJoinBoundPHash(b *testing.B) {
-	benchBGPJoinOpts(b, boundPQuery(), sparql.Options{Parallelism: 1, NoIDJoin: true})
-}
-
 func BenchmarkBGPJoinBoundPIDs(b *testing.B) {
 	benchBGPJoinOpts(b, boundPQuery(), sparql.Options{Parallelism: 1})
-}
-
-func BenchmarkBGPJoinBoundOHash(b *testing.B) {
-	benchBGPJoinOpts(b, boundOQuery(), sparql.Options{Parallelism: 1, NoIDJoin: true})
 }
 
 func BenchmarkBGPJoinBoundOIDs(b *testing.B) {

@@ -90,8 +90,7 @@ func benchQuery(st *store.Store, query string, opt sparql.Options) func(b *testi
 }
 
 // storeScenarios measures the dictionary/permutation execution engine: the
-// three-pattern chain, the bound-predicate and bound-object joins (hash vs
-// ID-space, with the speedup ratios the acceptance gate rides on), bulk
+// three-pattern chain, the bound-predicate and bound-object joins, bulk
 // load, and snapshot round-trip.
 func storeScenarios() []benchResult {
 	st := benchStore()
@@ -103,12 +102,9 @@ func storeScenarios() []benchResult {
 		string(gen.Prop("cat0")), string(gen.Prop("rel0")), string(gen.Prop("cat0")))
 
 	seq := sparql.Options{Parallelism: 1}
-	seqHash := sparql.Options{Parallelism: 1, NoIDJoin: true}
 
 	chainIDs := msPerOp(benchQuery(st, chain, seq))
-	boundPHash := msPerOp(benchQuery(st, boundP, seqHash))
 	boundPIDs := msPerOp(benchQuery(st, boundP, seq))
-	boundOHash := msPerOp(benchQuery(st, boundO, seqHash))
 	boundOIDs := msPerOp(benchQuery(st, boundO, seq))
 
 	loadMS := msPerOp(func(b *testing.B) {
@@ -132,12 +128,8 @@ func storeScenarios() []benchResult {
 
 	return []benchResult{
 		{Name: "bgp_chain_ids_ms", Value: chainIDs, Unit: "ms", Better: "lower"},
-		{Name: "bgp_bound_p_hash_ms", Value: boundPHash, Unit: "ms", Better: "lower"},
 		{Name: "bgp_bound_p_ids_ms", Value: boundPIDs, Unit: "ms", Better: "lower"},
-		{Name: "bgp_bound_p_speedup", Value: boundPHash / boundPIDs, Unit: "x", Better: "higher", Min: 3},
-		{Name: "bgp_bound_o_hash_ms", Value: boundOHash, Unit: "ms", Better: "lower"},
 		{Name: "bgp_bound_o_ids_ms", Value: boundOIDs, Unit: "ms", Better: "lower"},
-		{Name: "bgp_bound_o_speedup", Value: boundOHash / boundOIDs, Unit: "x", Better: "higher", Min: 3},
 		{Name: "store_load_ms", Value: loadMS, Unit: "ms", Better: "lower"},
 		{Name: "snapshot_write_ms", Value: snapMS, Unit: "ms", Better: "lower"},
 	}

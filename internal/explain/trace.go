@@ -5,7 +5,7 @@ package explain
 // "parse" span, one "plan" span per reordered pattern group, and an
 // "execute" span whose children are the per-pattern join stages — each
 // carrying the strategy the executor picked (id-merge, id-probe, id-cross,
-// hash, paged-scan), the rows entering and leaving the stage, and for the
+// id-empty, paged-scan), the rows entering and leaving the stage, and for the
 // paged streaming driver the number of store pages scanned. A FILTER pushed
 // into a pattern run appears as a "filter" child of the run's last pattern
 // span, with the rows it kept. The HTTP layer
@@ -36,8 +36,8 @@ type Span struct {
 	// text; for plan spans, the join order chosen.
 	Detail string `json:"detail,omitempty"`
 	// Strategy is the executor a pattern span ran on: "id-merge",
-	// "id-probe", "id-cross", "hash", or "paged-scan"; "id-filter" for a
-	// filter span.
+	// "id-probe", "id-cross", "id-empty" (a constant absent from the
+	// dictionary), or "paged-scan"; "id-filter" for a filter span.
 	Strategy string `json:"strategy,omitempty"`
 	// RowsIn and RowsOut count the solution rows entering and leaving the
 	// stage.

@@ -2,7 +2,7 @@
 // Source interface the facet, hetree, and progressive-aggregate layers
 // compute against, plus the shared scan drivers (an epoch-restarting paged
 // walk, streaming dataset statistics, and permutation-backed neighborhood
-// traversal). It mirrors the role sparql.IDSource plays for the query
+// traversal). It mirrors the role sparql.Source plays for the query
 // engine — exploration primitives join, count, and group over uint32
 // dictionary IDs and decode terms only for what they actually emit.
 package explore
@@ -13,7 +13,7 @@ import (
 )
 
 // Source is the store surface exploration primitives run on, mirroring
-// sparql.IDSource: dictionary lookup and batch decode, sorted permutation
+// sparql.Source: dictionary lookup and batch decode, sorted permutation
 // runs (ScanIDs), paged position-cursor scans (ForEachIDPage, guarded by
 // LayoutEpoch), and the cardinality summaries facet and stats ranking use.
 // *store.Store satisfies it; tests wrap it to gate or instrument scans.

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"github.com/lodviz/lodviz/internal/gen"
-	"github.com/lodviz/lodviz/internal/rdf"
 	"github.com/lodviz/lodviz/internal/store"
 )
 
@@ -129,11 +128,11 @@ func TestStreamEndpointParseError(t *testing.T) {
 	}
 }
 
-// gatedSource wraps the store and blocks its scans — snapshot and paged
-// alike — after `free` triples total, until the gate channel is closed:
-// the deliberately slow store wrapper. Evaluation provably cannot finish
-// while the gate is shut, so anything the client has read by then was
-// delivered mid-evaluation.
+// gatedSource wraps the store and blocks the streaming driver's paged scan
+// after `free` triples total, until the gate channel is closed: the
+// deliberately slow store wrapper. Evaluation provably cannot finish while
+// the gate is shut, so anything the client has read by then was delivered
+// mid-evaluation.
 type gatedSource struct {
 	*store.Store
 	free int64
@@ -141,22 +140,11 @@ type gatedSource struct {
 	seen atomic.Int64
 }
 
-func (g *gatedSource) step() {
-	if g.seen.Add(1) > g.free {
-		<-g.gate
-	}
-}
-
-func (g *gatedSource) ForEach(p store.Pattern, fn func(rdf.Triple) bool) {
-	g.Store.ForEach(p, func(t rdf.Triple) bool {
-		g.step()
-		return fn(t)
-	})
-}
-
-func (g *gatedSource) ForEachPage(p store.Pattern, pos, max int, fn func(rdf.Triple) bool) (int, bool) {
-	return g.Store.ForEachPage(p, pos, max, func(t rdf.Triple) bool {
-		g.step()
+func (g *gatedSource) ForEachIDPage(s, p, o store.ID, pos, max int, fn func(store.IDTriple) bool) (int, bool) {
+	return g.Store.ForEachIDPage(s, p, o, pos, max, func(t store.IDTriple) bool {
+		if g.seen.Add(1) > g.free {
+			<-g.gate
+		}
 		return fn(t)
 	})
 }
@@ -213,7 +201,16 @@ func TestStreamFirstRowBeforeEvaluationCompletes(t *testing.T) {
 		t.Fatalf("second line is not a binding row: %q", firstRow)
 	}
 	// The gate is still shut: evaluation cannot have completed, yet the
-	// client holds a row. Release the scan and drain the rest.
+	// client holds a row. The scan must actually have reached the gate, or
+	// the wrapper was bypassed and the test measured nothing.
+	deadline := time.Now().Add(5 * time.Second)
+	for src.seen.Load() <= src.free && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if seen := src.seen.Load(); seen <= src.free {
+		t.Fatalf("the scan visited %d triples through the gated source, want more than %d", seen, src.free)
+	}
+	// Release the scan and drain the rest.
 	close(gate)
 	sawDone := false
 	for sc.Scan() {

@@ -654,7 +654,7 @@ type idMemo struct {
 // decoding the IDs it has not seen in one batch — and returns each cell's
 // entry index, row-major (cells[r*len(slots)+j] for row r, slots[j]; -1 for
 // an unbound cell).
-func (m *idMemo) resolve(src IDSource, rows idRows, slots []int) []int32 {
+func (m *idMemo) resolve(src Source, rows idRows, slots []int) []int32 {
 	n := rows.n() * len(slots)
 	if n == 0 {
 		return nil
@@ -754,7 +754,7 @@ func newRowBinder(fr *frame, lay *frameLayout, memo *idMemo) rowBinder {
 
 // resolve decodes the value-read slot columns of rows through the memo;
 // bind then reads rows by index.
-func (rb *rowBinder) resolve(src IDSource, rows idRows) {
+func (rb *rowBinder) resolve(src Source, rows idRows) {
 	rb.cells = rb.memo.resolve(src, rows, rb.lay.valSlots)
 }
 

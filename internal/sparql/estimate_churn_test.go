@@ -144,12 +144,16 @@ func TestIDJoinDeleteChurnFlipsStrategy(t *testing.T) {
 	}
 
 	// Differential: the chosen strategy must not change the answer.
-	want, err := ExecOpts(st, q, Options{Parallelism: 1, NoIDJoin: true})
+	parsed, err := Parse(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotRows, wantRows := rowStrings(res), rowStrings(want); !equalStrings(gotRows, wantRows) {
-		t.Errorf("merge-path rows differ from hash-path rows:\n got %v\nwant %v", gotRows, wantRows)
+	ref, err := refEval(st, parsed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotRows, wantRows := rowStrings(res), rowStrings(ref.results(parsed)); !equalStrings(gotRows, wantRows) {
+		t.Errorf("merge-path rows differ from the reference rows:\n got %v\nwant %v", gotRows, wantRows)
 	}
 }
 

@@ -34,10 +34,6 @@ type engine struct {
 	// noReorder disables cost-based join reordering (tests compare the
 	// naive textual order against the planned order).
 	noReorder bool
-	// noIDJoin forces the term-space hash path for triple-pattern runs even
-	// when the source is an IDSource (differential tests compare it against
-	// the dictionary-ID path).
-	noIDJoin bool
 	// svc evaluates SERVICE clauses; nil means federation is not wired.
 	svc ServiceEvaluator
 	// met receives aggregate counters; nil (the common case) costs one
@@ -128,11 +124,11 @@ func (e *engine) evalElems(elems []GroupElem, filters []Expr, input []Binding) (
 }
 
 // evalElemsTail is evalElems with filter pushdown and an optional undecoded
-// tail. On the ID executor, each filter whose variables a pattern run binds
-// is applied to that run's ID rows (see placeFilters); the rest apply, as
-// the spec orders, to the group's solutions at the end. With wantTail set,
-// a sequence ending in a pattern run with no filter left for the end
-// returns that run's rows undecoded (sols nil) for grouping.
+// tail. Each filter whose variables a pattern run binds is applied to that
+// run's ID rows (see placeFilters); the rest apply, as the spec orders, to
+// the group's solutions at the end. With wantTail set, a sequence ending
+// in a pattern run with no filter left for the end returns that run's rows
+// undecoded (sols nil) for grouping.
 func (e *engine) evalElemsTail(elems []GroupElem, filters []Expr, input []Binding, wantTail bool) ([]Binding, *idTail, error) {
 	progs := e.compileFilters(filters)
 	// at[k] is where filter k applies: the first element of the pattern
@@ -142,9 +138,7 @@ func (e *engine) evalElemsTail(elems []GroupElem, filters []Expr, input []Bindin
 	for range progs {
 		at = append(at, -1)
 	}
-	if _, ok := e.idSource(); ok {
-		placeFilters(elems, progs, at)
-	}
+	placeFilters(elems, progs, at)
 	cur := input
 	for i := 0; i < len(elems); i++ {
 		if err := e.cancelled(); err != nil {
@@ -168,14 +162,15 @@ func (e *engine) evalElemsTail(elems []GroupElem, filters []Expr, input []Bindin
 				i++
 			}
 			var t idTail
-			cur, t, err = e.runPatterns(run, runFilters{progs, at, first}, cur)
-			if t.src != nil {
-				if wantTail && i == len(elems)-1 && !slices.ContainsFunc(at, func(a int) bool { return a < 0 }) {
-					tail := t // a copy, so t need not escape on every run
-					return nil, &tail, nil
-				}
-				cur = t.decode()
+			t, err = e.evalPatternRun(run, runFilters{progs, at, first}, cur)
+			if err != nil {
+				return nil, nil, err
 			}
+			if wantTail && i == len(elems)-1 && !slices.ContainsFunc(at, func(a int) bool { return a < 0 }) {
+				tail := t // a copy, so t need not escape on every run
+				return nil, &tail, nil
+			}
+			cur = t.decode()
 		case SubGroup:
 			cur, err = e.evalGroup(el.Inner, cur)
 		case Optional:
@@ -263,14 +258,15 @@ func (e *engine) compileFilters(filters []Expr) []*filterProg {
 
 // placeFilters decides filter pushdown for a planned element sequence,
 // setting at[i] to the index of the first element of the pattern run
-// filter i moves into; it stays -1 when the filter stays at the group's end. A filter moves into the
-// first run whose patterns mention every variable it reads. Every such
-// variable is bound in every row the run emits, and later elements only
-// extend rows, so the filter sees the same values there as at the group's
-// end and rejects the same rows — earlier, before they are decoded or
-// joined further. A run is skipped when a later element BINDs one of its
-// variables: that BIND fails the query on any surviving row, and an early
-// filter must not hide the error by emptying the run.
+// filter i moves into; it stays -1 when the filter stays at the group's
+// end. A filter moves into the first run whose patterns mention every
+// variable it reads. Every such variable is bound in every row the run
+// emits, and later elements only extend rows, so the filter sees the same
+// values there as at the group's end and rejects the same rows — earlier,
+// before they are decoded or joined further. A run is skipped when a later
+// element can fail the query (mayFail): whether it fails depends on which
+// rows reach it, and an early filter must not hide the error by emptying
+// the run.
 func placeFilters(elems []GroupElem, progs []*filterProg, at []int) {
 	if len(progs) == 0 {
 		return
@@ -294,7 +290,7 @@ func placeFilters(elems []GroupElem, progs []*filterProg, at []int) {
 				}
 			}
 		}
-		if bindsAny(elems[i:], vars) {
+		if mayFail(elems[i:]) {
 			continue
 		}
 		for k, p := range progs {
@@ -322,25 +318,25 @@ func coveredBy(vars, bound []string) bool {
 	return true
 }
 
-// bindsAny reports whether any element, at any nesting depth, BINDs one of
-// vars.
-func bindsAny(elems []GroupElem, vars []string) bool {
+// mayFail reports whether any element, at any nesting depth, can fail the
+// query depending on the rows that reach it: a BIND fails when its target
+// is already bound — by the run, by an earlier element or by a row of the
+// group's input — and a SERVICE when its endpoint does.
+func mayFail(elems []GroupElem) bool {
 	for _, el := range elems {
 		switch el := el.(type) {
-		case Bind:
-			if slices.Contains(vars, el.Var) {
-				return true
-			}
+		case Bind, Service:
+			return true
 		case SubGroup:
-			if bindsAny(el.Inner.Elems, vars) {
+			if mayFail(el.Inner.Elems) {
 				return true
 			}
 		case Optional:
-			if bindsAny(el.Inner.Elems, vars) {
+			if mayFail(el.Inner.Elems) {
 				return true
 			}
 		case Union:
-			if bindsAny(el.Left.Elems, vars) || bindsAny(el.Right.Elems, vars) {
+			if mayFail(el.Left.Elems) || mayFail(el.Right.Elems) {
 				return true
 			}
 		}
@@ -421,19 +417,21 @@ func (e *engine) reorderTriplePatterns(elems []GroupElem, seed map[string]bool) 
 }
 
 // estimate returns the store's cardinality estimate for the pattern's
-// constant positions.
+// constant positions; a constant absent from the dictionary matches
+// nothing.
 func (e *engine) estimate(tp TriplePattern) int {
-	var pat store.Pattern
-	if !tp.S.IsVar() {
-		pat.S = tp.S.Term
+	var ids [3]store.ID
+	for i, n := range [3]Node{tp.S, tp.P, tp.O} {
+		if n.IsVar() {
+			continue
+		}
+		id, ok := e.st.LookupTermID(n.Term)
+		if !ok {
+			return 0
+		}
+		ids[i] = id
 	}
-	if !tp.P.IsVar() {
-		pat.P = tp.P.Term
-	}
-	if !tp.O.IsVar() {
-		pat.O = tp.O.Term
-	}
-	return e.st.EstimateCount(pat)
+	return e.st.EstimateCountIDs(ids[0], ids[1], ids[2])
 }
 
 // estimateFanout estimates how many solutions evaluating tp produces per
@@ -527,115 +525,6 @@ func (e *engine) cancelled() error {
 		return nil
 	}
 	return e.ctx.Err()
-}
-
-// evalTriplePattern extends each binding with matches from the store. Large
-// binding sets are partitioned into chunks and probed concurrently by the
-// engine's worker pool; the index-sequenced merge keeps the output order
-// identical to the sequential loop.
-func (e *engine) evalTriplePattern(tp TriplePattern, input []Binding) ([]Binding, error) {
-	return e.evalTriplePatternCap(tp, input, -1)
-}
-
-// evalTriplePatternCap is evalTriplePattern with a row budget: when the
-// pattern is the query's final join stage, only the first cap rows of its
-// output can reach the client, so chunks stop probing once they hold cap
-// rows and the parallel merge skips chunks the committed prefix has already
-// made unreachable. cap < 0 means unlimited.
-func (e *engine) evalTriplePatternCap(tp TriplePattern, input []Binding, cap int) ([]Binding, error) {
-	return e.parMapCap(input, cap, func(chunk []Binding, chunkCap int) ([]Binding, error) {
-		return e.evalTriplePatternChunk(tp, chunk, chunkCap)
-	})
-}
-
-// evalTriplePatternChunk is the sequential probe loop over one chunk,
-// producing at most cap rows (cap < 0 = unlimited). It polls the engine
-// context every cancelCheckInterval bindings, and inside a single large
-// index scan every cancelCheckInterval matches, so even a one-pattern full
-// scan honors cancellation.
-func (e *engine) evalTriplePatternChunk(tp TriplePattern, input []Binding, cap int) ([]Binding, error) {
-	var out []Binding
-	var scanned int
-	var stop error
-	for i, b := range input {
-		if cap >= 0 && len(out) >= cap {
-			break
-		}
-		if i%cancelCheckInterval == 0 {
-			if err := e.cancelled(); err != nil {
-				return nil, err
-			}
-		}
-		pat, vars := concretize(tp, b)
-		e.st.ForEach(pat, func(t rdf.Triple) bool {
-			scanned++
-			if scanned%cancelCheckInterval == 0 {
-				if err := e.cancelled(); err != nil {
-					stop = err
-					return false
-				}
-			}
-			nb, ok := unify(b, vars, t)
-			if ok {
-				out = append(out, nb)
-				if cap >= 0 && len(out) >= cap {
-					return false
-				}
-			}
-			return true
-		})
-		if stop != nil {
-			return nil, stop
-		}
-	}
-	e.met.addScan(scanned, len(out))
-	return out, nil
-}
-
-// concretize substitutes bound variables into the pattern, returning the
-// store pattern and the residual variable names per position (empty = bound).
-func concretize(tp TriplePattern, b Binding) (store.Pattern, [3]string) {
-	var pat store.Pattern
-	var vars [3]string
-	resolve := func(n Node) (rdf.Term, string) {
-		if !n.IsVar() {
-			return n.Term, ""
-		}
-		if t, ok := b[n.Var]; ok {
-			return t, ""
-		}
-		return nil, n.Var
-	}
-	pat.S, vars[0] = resolve(tp.S)
-	pat.P, vars[1] = resolve(tp.P)
-	pat.O, vars[2] = resolve(tp.O)
-	return pat, vars
-}
-
-// unify binds residual variables to the matched triple, handling repeated
-// variables (?x ?p ?x) by requiring equal terms.
-func unify(b Binding, vars [3]string, t rdf.Triple) (Binding, bool) {
-	nb := b.clone()
-	assign := func(name string, val rdf.Term) bool {
-		if name == "" {
-			return true
-		}
-		if prev, ok := nb[name]; ok {
-			return prev == val
-		}
-		nb[name] = val
-		return true
-	}
-	if !assign(vars[0], t.S) {
-		return nil, false
-	}
-	if !assign(vars[1], rdf.Term(t.P)) {
-		return nil, false
-	}
-	if !assign(vars[2], t.O) {
-		return nil, false
-	}
-	return nb, true
 }
 
 // evalOptional implements left join: bindings that match the inner group are

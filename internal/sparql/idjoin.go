@@ -9,16 +9,17 @@ import (
 	"github.com/lodviz/lodviz/internal/store"
 )
 
-// ID-space evaluation of basic graph patterns. When the engine's source is an
-// IDSource, a run of triple patterns is executed entirely over dictionary
-// IDs: input bindings are encoded once into a flat uint32 arena, each pattern
-// either merge-joins a sorted permutation run (equal-prefix joins), probes
-// the indexes per row, or cross-joins one shared scan, and terms are decoded
-// in one batch only when the run's survivors become Bindings. The output —
-// rows and row order — is byte-identical to the term-space hash path
-// (Options.NoIDJoin; differential tests compare the two): every strategy
-// below emits, for each input row in input order, that row's matches in
-// exactly the permutation order the per-row term-space scan would use.
+// ID-space evaluation of basic graph patterns, the engine's one pattern
+// executor: a run of triple patterns is executed entirely over dictionary
+// IDs. Input bindings are encoded once into a flat uint32 arena, each
+// pattern either merge-joins a sorted permutation run (equal-prefix joins),
+// probes the indexes per row, or cross-joins one shared scan, and terms are
+// decoded in one batch only when the run's survivors become Bindings. Every
+// strategy below emits, for each input row in input order, that row's
+// matches in exactly the permutation order a per-row ForEachID scan would
+// produce, so the choice of strategy never changes rows or row order. The
+// differential tests check the results against a term-space reference
+// evaluator (reference_test.go).
 
 const (
 	// mergeScanFactor bounds when a merge join pays: scanning an index range
@@ -52,67 +53,10 @@ type idPos struct {
 	id   store.ID
 }
 
-// runPatterns evaluates a pattern run. Non-ID sources and Options.NoIDJoin
-// take the per-pattern term-space path, which returns Bindings (and is
-// never handed filters: pushdown is an ID-executor feature); everything
-// else runs the dictionary-ID pipeline, applies the filters pushed into the
-// run, and returns the surviving rows undecoded.
-// A tail with a nil src means the run took the term-space path.
-func (e *engine) runPatterns(run []TriplePattern, filters runFilters, input []Binding) ([]Binding, idTail, error) {
-	src, ok := e.idSource()
-	if !ok {
-		if e.met != nil {
-			e.met.RunsHash.Inc()
-		}
-		sols, err := e.evalPatternRunHash(run, input)
-		return sols, idTail{}, err
-	}
-	if e.met != nil {
-		e.met.RunsIDJoin.Inc()
-	}
-	t, err := e.evalPatternRunIDs(src, run, filters, input)
-	return nil, t, err
-}
-
-// idSource returns the engine's source as an IDSource when the ID executor
-// is in use.
-func (e *engine) idSource() (IDSource, bool) {
-	src, ok := e.st.(IDSource)
-	return src, ok && !e.noIDJoin
-}
-
-// evalPatternRunHash is the pre-existing term-space pipeline: one hash-probe
-// stage per pattern.
-func (e *engine) evalPatternRunHash(run []TriplePattern, input []Binding) ([]Binding, error) {
-	cur := input
-	for _, tp := range run {
-		if err := e.cancelled(); err != nil {
-			return nil, err
-		}
-		var start time.Time
-		if e.trace != nil {
-			start = time.Now()
-		}
-		before := len(cur)
-		var err error
-		cur, err = e.evalTriplePattern(tp, cur)
-		if err != nil {
-			return nil, err
-		}
-		if e.trace != nil {
-			e.trace.Add(e.exec, "pattern").Set(patternString(tp), "hash", before, len(cur), start)
-		}
-		if len(cur) == 0 {
-			break
-		}
-	}
-	return cur, nil
-}
-
 // idTail is a pattern run's output in ID space: rows over the run's slots
 // (slotVars names them), each descending from an input Binding.
 type idTail struct {
-	src      IDSource
+	src      Source
 	rows     idRows
 	slotVars []string
 	input    []Binding
@@ -123,7 +67,13 @@ func (t *idTail) decode() []Binding {
 	return decodeIDRows(t.src, t.rows, t.slotVars, t.input)
 }
 
-func (e *engine) evalPatternRunIDs(src IDSource, run []TriplePattern, filters runFilters, input []Binding) (idTail, error) {
+// evalPatternRun evaluates a run of triple patterns over input, applies the
+// filters pushed into the run, and returns the surviving rows undecoded.
+func (e *engine) evalPatternRun(run []TriplePattern, filters runFilters, input []Binding) (idTail, error) {
+	if e.met != nil {
+		e.met.RunsIDJoin.Inc()
+	}
+	src := e.st
 	// Slot table: every variable any pattern in the run mentions.
 	slotOf := map[string]int{}
 	var slotVars []string
@@ -157,7 +107,7 @@ func (e *engine) evalPatternRunIDs(src IDSource, run []TriplePattern, filters ru
 	// Encode the input. A binding whose slot term is absent from the
 	// dictionary can never survive the pattern mentioning that slot (every
 	// slot is mentioned by some pattern in the run), so the row is dropped —
-	// exactly when the term-space path would probe it to zero matches.
+	// a probe with that term could match nothing.
 	rows := idRows{stride: stride, parents: make([]int32, 0, len(input))}
 	if stride > 0 {
 		rows.ids = make([]store.ID, 0, stride*len(input))
@@ -297,7 +247,7 @@ func (e *engine) filterIDRows(t *idTail, filters runFilters, runSpan *explain.Sp
 // order-preserving strategy; the strategy chosen is returned for traces
 // ("id-merge", "id-cross", "id-probe", or "id-empty" when a constant is
 // absent from the dictionary).
-func (e *engine) evalOnePatternIDs(src IDSource, tp TriplePattern, rows idRows, slotOf map[string]int, boundAll, boundAny []bool, lookup func(rdf.Term) (store.ID, bool)) (idRows, string, error) {
+func (e *engine) evalOnePatternIDs(src Source, tp TriplePattern, rows idRows, slotOf map[string]int, boundAll, boundAny []bool, lookup func(rdf.Term) (store.ID, bool)) (idRows, string, error) {
 	var ps [3]idPos
 	for i, n := range [3]Node{tp.S, tp.P, tp.O} {
 		if n.IsVar() {
@@ -374,7 +324,7 @@ func (e *engine) evalOnePatternIDs(src IDSource, tp TriplePattern, rows idRows, 
 	if nBound == 1 && !mixed && !repeated && freshPositions > 0 &&
 		// Ordering caveat: a bound predicate variable over an otherwise
 		// unconstrained pattern would merge through PSO (sorted s,o) while
-		// the term-space scan uses POS (sorted o,s) — the one lead/mask
+		// the per-row scan uses POS (sorted o,s) — the one lead/mask
 		// combination whose per-key order differs. Probe keeps parity.
 		!(lead == store.PosP && cs == 0 && co == 0) {
 		if est := src.EstimateCountIDs(cs, cp, co); est <= rows.n()*mergeScanFactor {
@@ -394,7 +344,7 @@ func (e *engine) evalOnePatternIDs(src IDSource, tp TriplePattern, rows idRows, 
 // emits its key's span (plus delta-tail matches) — the same matches, in the
 // same order, the per-row probe would produce. ok=false (no permutation for
 // the lead, or an outsized delta tail) sends the caller to the probe path.
-func (e *engine) idMergeJoin(src IDSource, ps [3]idPos, cs, cp, co store.ID, boundSlot int, lead store.Position, rows idRows) (idRows, bool, error) {
+func (e *engine) idMergeJoin(src Source, ps [3]idPos, cs, cp, co store.ID, boundSlot int, lead store.Position, rows idRows) (idRows, bool, error) {
 	scan, ok := src.ScanIDs(cs, cp, co, lead)
 	if !ok {
 		return idRows{}, false, nil
@@ -486,7 +436,7 @@ func (e *engine) idMergeJoin(src IDSource, ps [3]idPos, cs, cp, co store.ID, bou
 // the constant mask once, then cross the matches with every row. Identical to
 // probing each row — every row's probe would walk the same range in the same
 // order — at 1/rows the scan cost.
-func (e *engine) idScanCross(src IDSource, ps [3]idPos, cs, cp, co store.ID, rows idRows) (idRows, error) {
+func (e *engine) idScanCross(src Source, ps [3]idPos, cs, cp, co store.ID, rows idRows) (idRows, error) {
 	matches := make([]store.IDTriple, 0, src.EstimateCountIDs(cs, cp, co))
 	scanned := 0
 	var stop error
@@ -548,11 +498,10 @@ func repeatedSlot(ps [3]idPos) bool {
 	return false
 }
 
-// idProbe is the general per-row strategy: concretize the mask from the
-// row's slots and scan the matching range, exactly like the term-space path
-// but without cloning a map per match. Large row sets fan out to the
-// engine's worker pool with an index-sequenced merge preserving order.
-func (e *engine) idProbe(src IDSource, ps [3]idPos, rows idRows) (idRows, error) {
+// idProbe is the general per-row strategy: build the mask from the row's
+// slots (maskFor) and scan the matching range. Large row sets fan out to
+// the engine's worker pool with an index-sequenced merge preserving order.
+func (e *engine) idProbe(src Source, ps [3]idPos, rows idRows) (idRows, error) {
 	return e.parProbe(rows.n(), rows.stride, func(lo, hi int) (idRows, error) {
 		out := idRows{stride: rows.stride}
 		scratch := make([]store.ID, rows.stride)
@@ -592,7 +541,7 @@ func (e *engine) idProbe(src IDSource, ps [3]idPos, rows idRows) (idRows, error)
 	})
 }
 
-// maskFor concretizes the pattern for one row: constants keep their IDs,
+// maskFor builds the scan mask for one row: constants keep their IDs,
 // bound slots contribute the row's value, unbound slots scan as wildcards.
 func maskFor(ps [3]idPos, row []store.ID) (s, p, o store.ID) {
 	get := func(p idPos) store.ID {
@@ -606,8 +555,7 @@ func maskFor(ps [3]idPos, row []store.ID) (s, p, o store.ID) {
 
 // idUnify folds a match into a row copy: bound slots must agree with the
 // match (repeated variables included — the second occurrence sees the
-// first's assignment), unbound slots take the match's value. Mirrors the
-// term-space unify.
+// first's assignment), unbound slots take the match's value.
 func idUnify(ps [3]idPos, row []store.ID, m store.IDTriple) bool {
 	vals := [3]store.ID{m.S, m.P, m.O}
 	for i, p := range ps {
@@ -627,7 +575,7 @@ func idUnify(ps [3]idPos, row []store.ID, m store.IDTriple) bool {
 
 // decodeIDRows materializes the run's survivors: one batch ID→term decode,
 // then one parent clone plus the run's new columns per row.
-func decodeIDRows(src IDSource, rows idRows, slotVars []string, input []Binding) []Binding {
+func decodeIDRows(src Source, rows idRows, slotVars []string, input []Binding) []Binding {
 	if rows.n() == 0 {
 		return nil
 	}
@@ -650,111 +598,20 @@ func decodeIDRows(src IDSource, rows idRows, slotVars []string, input []Binding)
 	return out
 }
 
-// idProbeResult carries one probe chunk's output to the merger.
-type idProbeResult struct {
-	idx  int
-	rows idRows
-	err  error
-}
-
 // parProbe runs fn over contiguous [lo,hi) chunks of n rows on the engine's
-// worker budget and concatenates the chunk outputs in index order — the
-// idRows sibling of parMap, with the same non-blocking token borrowing so
-// nested fan-out degrades to inline evaluation.
+// worker pool (parChunks) and concatenates the chunk outputs in index order.
 func (e *engine) parProbe(n, stride int, fn func(lo, hi int) (idRows, error)) (idRows, error) {
-	if e.par <= 1 || n < parallelThreshold {
-		return fn(0, n)
+	parts, err := parChunks(e, n, fn)
+	if err != nil {
+		return idRows{}, err
 	}
-	workers := e.par
-	if workers > n {
-		workers = n
+	if len(parts) == 1 {
+		return parts[0], nil
 	}
-	extra := 0
-acquire:
-	for extra < workers-1 {
-		select {
-		case e.sem <- struct{}{}:
-			extra++
-		default:
-			break acquire
-		}
-	}
-	if extra == 0 {
-		return fn(0, n)
-	}
-	nchunks := (extra + 1) * chunksPerWorker
-	chunkSize := (n + nchunks - 1) / nchunks
-	nchunks = (n + chunkSize - 1) / chunkSize
-
-	work := make(chan int, nchunks)
-	for i := 0; i < nchunks; i++ {
-		work <- i
-	}
-	close(work)
-	results := make(chan idProbeResult, nchunks)
-	worker := func(drain func()) {
-		for idx := range work {
-			lo := idx * chunkSize
-			hi := lo + chunkSize
-			if hi > n {
-				hi = n
-			}
-			rows, err := fn(lo, hi)
-			results <- idProbeResult{idx: idx, rows: rows, err: err}
-			if drain != nil {
-				drain()
-			}
-		}
-	}
-	for i := 0; i < extra; i++ {
-		go func() {
-			defer func() { <-e.sem }() // return the token as soon as this worker drains
-			worker(nil)
-		}()
-	}
-
-	// Index-sequenced merge, as in parMapCap: the caller is worker zero and
-	// the merger.
-	pending := make(map[int]idProbeResult, nchunks)
-	next, received := 0, 0
 	out := idRows{stride: stride}
-	var firstErr error
-	commit := func(r idProbeResult) {
-		received++
-		pending[r.idx] = r
-		for {
-			c, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			next++
-			if firstErr != nil {
-				continue
-			}
-			if c.err != nil {
-				firstErr = c.err
-				continue
-			}
-			out.ids = append(out.ids, c.rows.ids...)
-			out.parents = append(out.parents, c.rows.parents...)
-		}
-	}
-	worker(func() {
-		for {
-			select {
-			case r := <-results:
-				commit(r)
-			default:
-				return
-			}
-		}
-	})
-	for received < nchunks {
-		commit(<-results)
-	}
-	if firstErr != nil {
-		return idRows{}, firstErr
+	for _, p := range parts {
+		out.ids = append(out.ids, p.ids...)
+		out.parents = append(out.parents, p.parents...)
 	}
 	return out, nil
 }

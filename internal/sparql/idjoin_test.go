@@ -75,20 +75,16 @@ var idJoinQueries = []struct {
 	{"order by limit", `SELECT ?e ?v WHERE { ?e <http://x/cat> "c1" . ?e <http://x/num> ?v } ORDER BY ?v ?e LIMIT 25`},
 }
 
-// TestIDJoinDifferential is the ID-executor contract: for every query shape,
+// TestIDJoinDifferential is the executor contract: for every query shape,
 // every parallelism setting, and both pipelines (streaming and
-// materializing), the dictionary-ID path returns exactly the rows — values
-// and order — of the term-space hash path.
+// materializing), the engine returns the reference evaluator's answer.
 func TestIDJoinDifferential(t *testing.T) {
 	st := idJoinStore(t)
 	for _, tc := range idJoinQueries {
 		for _, par := range []int{1, 8} {
 			for _, noStream := range []bool{false, true} {
-				ref := execOpts(t, st, tc.q, Options{Parallelism: par, NoStream: noStream, NoIDJoin: true})
-				got := execOpts(t, st, tc.q, Options{Parallelism: par, NoStream: noStream})
-				if !reflect.DeepEqual(ref.Rows, got.Rows) {
-					t.Errorf("%s (par=%d noStream=%v): ID path returned %d rows, hash path %d; first divergence: %v",
-						tc.name, par, noStream, len(got.Rows), len(ref.Rows), firstDiff(ref.Rows, got.Rows))
+				if d := diffQuery(st, st, tc.q, Options{Parallelism: par, NoStream: noStream}); d != "" {
+					t.Errorf("%s (par=%d noStream=%v): %s", tc.name, par, noStream, d)
 				}
 			}
 		}
@@ -102,37 +98,10 @@ func firstDiff(a, b []Binding) string {
 	}
 	for i := 0; i < n; i++ {
 		if !reflect.DeepEqual(a[i], b[i]) {
-			return fmt.Sprintf("row %d: hash=%v id=%v", i, a[i], b[i])
+			return fmt.Sprintf("row %d: %v vs %v", i, a[i], b[i])
 		}
 	}
 	return fmt.Sprintf("length %d vs %d", len(a), len(b))
-}
-
-// TestIDJoinFallsBackForPlainSource pins the compatibility contract: a
-// Source that is not an IDSource (test wrappers, instrumentation) still
-// evaluates correctly through the term-space path.
-func TestIDJoinFallsBackForPlainSource(t *testing.T) {
-	st := idJoinStore(t)
-	q := `SELECT ?e ?v WHERE { ?e <http://x/cat> "c1" . ?e <http://x/num> ?v }`
-	ref := execOpts(t, st, q, Options{Parallelism: 1})
-	got := execOpts(t, plainSource{st}, q, Options{Parallelism: 1})
-	if !reflect.DeepEqual(ref.Rows, got.Rows) {
-		t.Fatalf("plain-Source evaluation diverged: %v", firstDiff(ref.Rows, got.Rows))
-	}
-}
-
-// plainSource hides the store's ID methods, leaving only the Source surface.
-type plainSource struct{ src Source }
-
-func (p plainSource) ForEach(pt store.Pattern, fn func(rdf.Triple) bool) { p.src.ForEach(pt, fn) }
-func (p plainSource) ForEachPage(pt store.Pattern, pos, max int, fn func(rdf.Triple) bool) (int, bool) {
-	return p.src.ForEachPage(pt, pos, max, fn)
-}
-func (p plainSource) LayoutEpoch() uint64                { return p.src.LayoutEpoch() }
-func (p plainSource) EstimateCount(pt store.Pattern) int { return p.src.EstimateCount(pt) }
-func (p plainSource) NumTerms() int                      { return p.src.NumTerms() }
-func (p plainSource) Cardinalities() map[rdf.IRI]store.PredCardinality {
-	return p.src.Cardinalities()
 }
 
 // TestIDJoinUnderConcurrentWrites runs the differential grid's join queries
@@ -216,21 +185,19 @@ func TestIDJoinMergeEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.noIDJoin = true
-	want, err := e.evalElems(run, nil, seed)
-	e.noIDJoin = false
+	want, err := refGroup(st, &Group{Elems: run}, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("merge edges diverged: %v", firstDiff(want, got))
+		t.Fatalf("merge edges diverged from the reference: %v", firstDiff(want, got))
 	}
 	if len(got) != 3 {
 		t.Fatalf("expected 3 rows (dup key ×2 + delta tail), got %d", len(got))
 	}
 
-	// Empty scan run: a constant mask matching nothing returns no rows from
-	// both paths without error.
+	// Empty scan run: a constant mask matching nothing returns no rows
+	// without error.
 	none := []GroupElem{TriplePattern{S: v("e"), P: c(rdf.IRI("http://x/cat")), O: c(rdf.NewLiteral("missing"))}}
 	got, err = e.evalElems(none, nil, seed)
 	if err != nil || len(got) != 0 {
@@ -269,23 +236,28 @@ var pushdownQueries = []struct {
 	{"aggregate no group by", `SELECT (COUNT(?e) AS ?n) (MIN(?c) AS ?lo) WHERE { ?e <http://x/cat> ?c FILTER(?c != "c2") }`},
 }
 
-// TestPushdownMatchesHashPath pins FILTER pushdown and ID-space grouping
-// to the term-space hash path, which filters only at each group's end and
-// groups decoded Bindings: same rows, same order, at every parallelism and
-// on both the streaming and the materializing pipeline.
-func TestPushdownMatchesHashPath(t *testing.T) {
+// TestPushdownMatchesReference pins FILTER pushdown and ID-space grouping
+// to the reference evaluator, which filters only at each group's end and
+// groups decoded Bindings, at every parallelism and on both the streaming
+// and the materializing pipeline.
+func TestPushdownMatchesReference(t *testing.T) {
 	st := idJoinStore(t)
 	for _, tc := range pushdownQueries {
+		q, err := Parse(tc.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := refEval(st, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ref.rows) == 0 && tc.name != "constant filter" && tc.name != "aggregate empty" {
+			t.Errorf("%s: no rows; the case tests nothing", tc.name)
+		}
 		for _, par := range []int{1, 8} {
 			for _, noStream := range []bool{false, true} {
-				ref := execOpts(t, st, tc.q, Options{Parallelism: par, NoStream: noStream, NoIDJoin: true})
-				got := execOpts(t, st, tc.q, Options{Parallelism: par, NoStream: noStream})
-				if !reflect.DeepEqual(ref.Vars, got.Vars) || !reflect.DeepEqual(ref.Rows, got.Rows) {
-					t.Errorf("%s (par=%d noStream=%v): pushdown path returned %d rows, hash path %d; first divergence: %v",
-						tc.name, par, noStream, len(got.Rows), len(ref.Rows), firstDiff(ref.Rows, got.Rows))
-				}
-				if len(ref.Rows) == 0 && tc.name != "constant filter" && tc.name != "aggregate empty" {
-					t.Errorf("%s: no rows; the case tests nothing", tc.name)
+				if d := diffQuery(st, st, tc.q, Options{Parallelism: par, NoStream: noStream}); d != "" {
+					t.Errorf("%s (par=%d noStream=%v): %s", tc.name, par, noStream, d)
 				}
 			}
 		}
@@ -299,12 +271,14 @@ func TestPushdownMatchesHashPath(t *testing.T) {
 func TestPushdownBindGuard(t *testing.T) {
 	st := idJoinStore(t)
 	q := `SELECT ?e WHERE { ?e <http://x/num> ?v FILTER(?v > 1000) BIND(1 AS ?v) }`
-	_, refErr := ExecOpts(st, q, Options{Parallelism: 1, NoIDJoin: true})
-	_, err := ExecOpts(st, q, Options{Parallelism: 1})
-	if (refErr == nil) != (err == nil) {
-		t.Fatalf("hash path error %v, pushdown path error %v", refErr, err)
+	parsed, err := Parse(q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err == nil {
+	if _, err := refEval(st, parsed); err == nil {
+		t.Fatal("reference: BIND onto a bound variable should fail the query")
+	}
+	if _, err := ExecOpts(st, q, Options{Parallelism: 1}); err == nil {
 		t.Fatal("BIND onto a bound variable should fail the query")
 	}
 }

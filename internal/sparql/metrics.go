@@ -11,9 +11,12 @@ import "github.com/lodviz/lodviz/internal/obs"
 // locals and flush per chunk/page, not per row, so instrumented evaluation
 // stays within a few percent of bare (the obs bench scenario gates this).
 type Metrics struct {
-	// RunsIDJoin / RunsHash count triple-pattern runs by executor.
+	// RunsIDJoin counts triple-pattern runs.
 	RunsIDJoin *obs.Counter
-	RunsHash   *obs.Counter
+	// RunsHash is always nil and reads zero; no metric family is
+	// registered for it. It stays because the end-to-end benchmark still
+	// reads it.
+	RunsHash *obs.Counter
 	// QueriesStreamed / QueriesMaterialized count query evaluations by
 	// delivery path.
 	QueriesStreamed     *obs.Counter
@@ -35,7 +38,6 @@ type Metrics struct {
 func NewMetrics(r *obs.Registry) *Metrics {
 	return &Metrics{
 		RunsIDJoin:          r.Counter("lodviz_engine_runs_idjoin_total", "Triple-pattern runs executed over dictionary IDs."),
-		RunsHash:            r.Counter("lodviz_engine_runs_hash_total", "Triple-pattern runs executed on the term-space hash path."),
 		QueriesStreamed:     r.Counter("lodviz_engine_queries_streamed_total", "Query evaluations served by a streaming fast path."),
 		QueriesMaterialized: r.Counter("lodviz_engine_queries_materialized_total", "Query evaluations served by the materializing pipeline."),
 		PushdownHits:        r.Counter("lodviz_engine_limit_pushdown_total", "Evaluations whose LIMIT bounded the scan (early termination)."),
@@ -44,13 +46,4 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		PagesScanned:        r.Counter("lodviz_engine_pages_scanned_total", "Store pages pulled by the streaming driver."),
 		Updates:             r.Counter("lodviz_engine_updates_total", "SPARQL UPDATE evaluations."),
 	}
-}
-
-// addScan flushes one executor stage's local tallies.
-func (m *Metrics) addScan(matches, rows int) {
-	if m == nil {
-		return
-	}
-	m.MatchesScanned.Add(uint64(matches))
-	m.RowsOut.Add(uint64(rows))
 }

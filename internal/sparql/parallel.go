@@ -3,6 +3,8 @@ package sparql
 import (
 	"context"
 	"runtime"
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"github.com/lodviz/lodviz/internal/explain"
@@ -11,21 +13,21 @@ import (
 // The parallel BGP pipeline: intermediate binding sets are partitioned into
 // contiguous chunks, workers probe the store's index ranges for each chunk
 // concurrently (the store's permutation indexes are read-only under RLock,
-// so probes never contend on data), and a sequencer merges the per-chunk
-// outputs back in chunk order. Because every chunk preserves the sequential
+// so probes never contend on data), and the per-chunk outputs are
+// concatenated in chunk order. Because every chunk preserves the sequential
 // probe order internally and chunks are emitted in index order, the merged
 // output is byte-for-byte identical to the sequential loop — queries without
 // ORDER BY stay deterministic for free.
 //
 // Worker accounting is engine-wide: an engine holds par-1 spare-worker
-// tokens, every parMap call runs the calling goroutine as one worker and
+// tokens, every parChunks call runs the calling goroutine as one worker and
 // borrows extra workers non-blockingly from that budget. Nested fan-out
 // (OPTIONAL chunks whose inner groups fan out again) therefore degrades to
 // inline evaluation instead of multiplying goroutines, and total concurrency
 // stays bounded by Parallelism.
 
 // parallelThreshold is the minimum binding-set size before fan-out pays for
-// the goroutine and channel overhead; smaller inputs run sequentially.
+// the goroutine overhead; smaller inputs run sequentially.
 const parallelThreshold = 32
 
 // chunksPerWorker oversubscribes chunks relative to workers so a straggler
@@ -49,14 +51,8 @@ type Options struct {
 	// pipeline. Results are identical either way; benchmarks and
 	// differential tests use it to compare the two paths.
 	NoStream bool
-	// NoIDJoin disables dictionary-ID execution of triple-pattern runs
-	// (merge joins over permutation runs, batch term decoding), forcing the
-	// per-pattern term-space hash path. Results are identical either way;
-	// benchmarks and differential tests use it to compare the two
-	// executors.
-	NoIDJoin bool
-	// Metrics, when set, receives aggregate engine counters (pattern runs
-	// by executor, rows, scanned matches/pages, pushdown hits). Nil costs
+	// Metrics, when set, receives aggregate engine counters (pattern runs,
+	// rows, scanned matches/pages, pushdown hits). Nil costs
 	// one pointer check per flush site.
 	Metrics *Metrics
 	// Trace, when set, receives the query's execution span tree:
@@ -78,62 +74,53 @@ func (o Options) workers() int {
 
 // newEngine builds an engine for one query evaluation.
 func newEngine(ctx context.Context, st Source, opt Options) *engine {
-	e := &engine{ctx: ctx, st: st, par: opt.workers(), svc: opt.Service, noIDJoin: opt.NoIDJoin, met: opt.Metrics, trace: opt.Trace}
+	e := &engine{ctx: ctx, st: st, par: opt.workers(), svc: opt.Service, met: opt.Metrics, trace: opt.Trace}
 	if e.par > 1 {
 		e.sem = make(chan struct{}, e.par-1)
 	}
 	return e
 }
 
-// chunkResult carries one chunk's output to the merger.
-type chunkResult struct {
-	idx  int
-	rows []Binding
-	err  error
-}
-
 // parMap runs fn over contiguous chunks of input on the engine's worker
-// budget and concatenates the per-chunk outputs in chunk index order, so the
-// result is exactly fn(input)'s sequential output. fn must be safe for
-// concurrent calls on disjoint chunks. Inputs below parallelThreshold, an
-// engine with par<=1, or an exhausted worker budget evaluate inline with no
-// goroutines spawned.
+// pool (parChunks) and concatenates the per-chunk outputs in chunk index
+// order, so the result is exactly fn(input)'s sequential output. fn must be
+// safe for concurrent calls on disjoint chunks.
 func (e *engine) parMap(input []Binding, fn func(chunk []Binding) ([]Binding, error)) ([]Binding, error) {
-	return e.parMapCap(input, -1, func(chunk []Binding, _ int) ([]Binding, error) {
-		return fn(chunk)
+	parts, err := parChunks(e, len(input), func(lo, hi int) ([]Binding, error) {
+		return fn(input[lo:hi])
 	})
+	if err != nil {
+		return nil, err
+	}
+	if len(parts) == 1 {
+		return parts[0], nil
+	}
+	return slices.Concat(parts...), nil
 }
 
-// parMapCap is parMap with a row budget threaded through the worker pool:
-// only the first cap rows of the merged output are needed (cap < 0 =
-// unlimited). Each chunk is asked for at most cap rows — a chunk alone can
-// never contribute more than the whole result — and once the in-order
-// committed prefix reaches cap, workers skip every chunk not yet started:
-// the work queue hands out chunks in index order, so an unstarted chunk is
-// ordered after everything already committed and cannot reach the output.
-// The merged result is exactly the first cap rows of the sequential
-// evaluation, at every parallelism setting.
-func (e *engine) parMapCap(input []Binding, cap int, fn func(chunk []Binding, cap int) ([]Binding, error)) ([]Binding, error) {
-	truncate := func(rows []Binding) []Binding {
-		if cap >= 0 && len(rows) > cap {
-			rows = rows[:cap]
+// parChunks runs fn over contiguous [lo,hi) chunks of n items on the
+// engine's worker budget and returns the chunk outputs in index order, with
+// the first error in index order — exactly what sequential evaluation
+// would report. Inputs below parallelThreshold, an engine with par<=1, or
+// an exhausted worker budget run as one inline chunk with no goroutines
+// spawned.
+func parChunks[T any](e *engine, n int, fn func(lo, hi int) (T, error)) ([]T, error) {
+	inline := func() ([]T, error) {
+		out, err := fn(0, n)
+		if err != nil {
+			return nil, err
 		}
-		return rows
+		return []T{out}, nil
 	}
-	if e.par <= 1 || len(input) < parallelThreshold {
-		rows, err := fn(input, cap)
-		return truncate(rows), err
-	}
-	workers := e.par
-	if workers > len(input) {
-		workers = len(input)
+	if e.par <= 1 || n < parallelThreshold {
+		return inline()
 	}
 	// Borrow extra workers beyond the calling goroutine. Non-blocking:
 	// a nested call finding the budget spent stays inline rather than
 	// deadlocking on tokens held by its ancestors.
 	extra := 0
 acquire:
-	for extra < workers-1 {
+	for extra < min(e.par, n)-1 {
 		select {
 		case e.sem <- struct{}{}:
 			extra++
@@ -142,106 +129,40 @@ acquire:
 		}
 	}
 	if extra == 0 {
-		rows, err := fn(input, cap)
-		return truncate(rows), err
+		return inline()
 	}
 
 	nchunks := (extra + 1) * chunksPerWorker
-	chunkSize := (len(input) + nchunks - 1) / nchunks
-	nchunks = (len(input) + chunkSize - 1) / chunkSize
-
-	work := make(chan int, nchunks)
-	for i := 0; i < nchunks; i++ {
-		work <- i
-	}
-	close(work)
-	results := make(chan chunkResult, nchunks)
-	// filled flips once the merger has committed cap rows in order; chunks
-	// pulled after that point are provably beyond the budget (the work
-	// queue hands chunks out in index order) and are answered empty
-	// without probing the store.
-	var filled atomic.Bool
-	worker := func(drain func()) {
-		for idx := range work {
-			if filled.Load() {
-				results <- chunkResult{idx: idx}
-				continue
-			}
-			lo := idx * chunkSize
-			hi := lo + chunkSize
-			if hi > len(input) {
-				hi = len(input)
-			}
-			rows, err := fn(input[lo:hi], cap)
-			results <- chunkResult{idx: idx, rows: rows, err: err}
-			if drain != nil {
-				drain()
-			}
-		}
-	}
-	for i := 0; i < extra; i++ {
-		go func() {
-			defer func() { <-e.sem }() // return the token as soon as this worker drains
-			worker(nil)
-		}()
-	}
-
-	// Index-sequenced merge: chunks finish in any order; buffer the
-	// out-of-order ones and append each as its turn comes, so the output
-	// (and the reported error, if any) match sequential evaluation. The
-	// caller is worker zero AND the merger: it commits whatever results
-	// are already available between its own chunks, so filled can flip
-	// while later chunks are still queued — that is what makes the skip
-	// above reachable.
-	pending := make(map[int]chunkResult, nchunks)
-	next := 0
-	received := 0
-	var out []Binding
-	var firstErr error
-	commit := func(r chunkResult) {
-		received++
-		pending[r.idx] = r
+	chunkSize := (n + nchunks - 1) / nchunks
+	nchunks = (n + chunkSize - 1) / chunkSize
+	outs := make([]T, nchunks)
+	errs := make([]error, nchunks)
+	var next atomic.Int64
+	worker := func() {
 		for {
-			c, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			next++
-			if firstErr != nil {
-				continue
-			}
-			if c.err != nil {
-				// A chunk past the filled cap is unreachable in sequential
-				// order — its (cancellation) error must not override the
-				// complete result, or parallel evaluation could fail where
-				// sequential evaluation returns rows.
-				if cap < 0 || len(out) < cap {
-					firstErr = c.err
-				}
-				continue
-			}
-			out = append(out, c.rows...)
-			if cap >= 0 && len(out) >= cap {
-				filled.Store(true)
-			}
-		}
-	}
-	worker(func() {
-		for {
-			select {
-			case r := <-results:
-				commit(r)
-			default:
+			idx := int(next.Add(1)) - 1
+			if idx >= nchunks {
 				return
 			}
+			lo := idx * chunkSize
+			outs[idx], errs[idx] = fn(lo, min(lo+chunkSize, n))
 		}
-	})
-	for received < nchunks {
-		commit(<-results)
 	}
-	if firstErr != nil {
-		return nil, firstErr
+	var wg sync.WaitGroup
+	for i := 0; i < extra; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { <-e.sem }() // return the token as soon as this worker drains
+			worker()
+		}()
 	}
-	return truncate(out), nil
+	worker() // the caller is worker zero
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return outs, nil
 }

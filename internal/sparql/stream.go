@@ -6,10 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
 	"github.com/lodviz/lodviz/internal/rdf"
+	"github.com/lodviz/lodviz/internal/store"
 )
 
 // errScanShifted reports that the store compacted its indexes between two
@@ -173,18 +175,18 @@ const (
 // streamSolutions evaluates g, delivering every complete solution (after
 // the group's filters) to emit in exactly the order the materializing
 // pipeline produces, until emit returns false. budget >= 0 is the caller's
-// expected row need; it rides into the capped parallel executor as a probe
-// bound but emit alone decides when delivery stops. budget < 0 streams the
-// full solution set.
+// expected row need: with no tail to join it clamps the scan's pages to the
+// rows still owed, but emit alone decides when delivery stops. budget < 0
+// streams the full solution set.
 //
-// The driver pages the suspended scan: each ForEachPage call does nothing
-// under the store's read lock but unify-and-collect, and the page's rows
-// are then joined through the tail pipeline and handed to emit with the
-// lock released — a nested scan inside the outer one would deadlock behind
-// a queued writer, and a slow network consumer must not stall the store's
-// writers. The flip side is isolation: a write landing between two pages
-// is visible to the remainder of the scan (the materializing path keeps
-// its one-snapshot-per-scan semantics).
+// The driver pages the suspended scan in ID space: each ForEachIDPage call
+// does nothing under the store's read lock but unify-and-collect ID rows,
+// and the page is then decoded with one Terms call, joined through the tail
+// pipeline and handed to emit with the lock released — a nested scan inside
+// the outer one would deadlock behind a queued writer, and a slow network
+// consumer must not stall the store's writers. The flip side is isolation:
+// a write landing between two pages is visible to the remainder of the scan
+// (the materializing path keeps its one-snapshot-per-scan semantics).
 func (e *engine) streamSolutions(g *Group, budget int, emit func(Binding) bool) error {
 	g = unwrapGroup(g)
 	elems := g.Elems
@@ -246,6 +248,29 @@ func (e *engine) streamSolutions(g *Group, budget int, emit func(Binding) bool) 
 		}
 	}()
 
+	// Encode the pattern once: constants become IDs, variables slots of a
+	// per-pattern row. A constant absent from the dictionary matches
+	// nothing.
+	src := e.st
+	var ps [3]idPos
+	var slotVars []string
+	for i, n := range [3]Node{tp.S, tp.P, tp.O} {
+		if !n.IsVar() {
+			id, ok := src.LookupTermID(n.Term)
+			if !ok {
+				return nil
+			}
+			ps[i] = idPos{slot: -1, id: id}
+			continue
+		}
+		slot := slices.Index(slotVars, n.Var)
+		if slot < 0 {
+			slot = len(slotVars)
+			slotVars = append(slotVars, n.Var)
+		}
+		ps[i] = idPos{slot: slot}
+	}
+
 	emitted := 0
 	deliver := func(rows []Binding) bool {
 		for _, r := range rows {
@@ -257,11 +282,29 @@ func (e *engine) streamSolutions(g *Group, budget int, emit func(Binding) bool) 
 		return true
 	}
 
-	epoch := e.st.LayoutEpoch()
+	epoch := src.LayoutEpoch()
 	batchCap := streamBatchInit
-	var batch []Binding
-	for _, b := range input {
-		pat, vars := concretize(tp, b)
+	page := idRows{stride: len(slotVars)}
+	row := make([]store.ID, len(slotVars))
+	for bi, b := range input {
+		// Encode the input binding once; a slot bound to a term absent
+		// from the dictionary can match nothing.
+		clear(row)
+		dead := false
+		for slot, v := range slotVars {
+			if t, ok := b[v]; ok {
+				id, inDict := src.LookupTermID(t)
+				if !inDict {
+					dead = true
+					break
+				}
+				row[slot] = id
+			}
+		}
+		if dead {
+			continue
+		}
+		ms, mp, mo := maskFor(ps, row)
 		pos := 0
 		for {
 			if err := e.cancelled(); err != nil {
@@ -280,35 +323,36 @@ func (e *engine) streamSolutions(g *Group, budget int, emit func(Binding) bool) 
 					max = rem
 				}
 			}
-			batch = batch[:0]
-			next, done := e.st.ForEachPage(pat, pos, max, func(t rdf.Triple) bool {
-				if nb, ok := unify(b, vars, t); ok {
-					batch = append(batch, nb)
+			page.ids, page.parents = page.ids[:0], page.parents[:0]
+			next, done := src.ForEachIDPage(ms, mp, mo, pos, max, func(m store.IDTriple) bool {
+				n := len(page.ids)
+				page.ids = append(page.ids, row...)
+				if idUnify(ps, page.ids[n:], m) {
+					page.parents = append(page.parents, int32(bi))
+				} else {
+					page.ids = page.ids[:n]
 				}
 				return true
 			})
 			pos = next
 			pages++
-			driverRows += len(batch)
+			driverRows += page.n()
 			// A compaction between pages reshuffles positions: the page
 			// just read may duplicate or skip triples, so discard it and
 			// let the caller restart or abort.
-			if e.st.LayoutEpoch() != epoch {
+			if src.LayoutEpoch() != epoch {
 				return errScanShifted
 			}
-			// Lock released: join and deliver this page's matches.
-			if direct {
-				if !deliver(batch) {
-					return nil
-				}
-			} else if len(batch) > 0 {
-				rows, err := e.flushTail(rest, g.Filters, batch, remainingBudget(budget, emitted))
+			// Lock released: decode, join and deliver this page's matches.
+			batch := decodeIDRows(src, page, slotVars, input)
+			if !direct && len(batch) > 0 {
+				batch, err = e.evalElems(rest, g.Filters, batch)
 				if err != nil {
 					return err
 				}
-				if !deliver(rows) {
-					return nil
-				}
+			}
+			if !deliver(batch) {
+				return nil
 			}
 			if done {
 				break
@@ -329,19 +373,6 @@ func remainingBudget(budget, emitted int) int {
 		return r
 	}
 	return 0
-}
-
-// flushTail evaluates the planned tail pipeline over one batch of scan
-// matches. When the tail is a single final triple pattern its output rows
-// are final solutions, so the row budget rides into the capped parallel
-// executor and the join probes stop early.
-func (e *engine) flushTail(rest []GroupElem, filters []Expr, batch []Binding, cap int) ([]Binding, error) {
-	if cap >= 0 && len(rest) == 1 && len(filters) == 0 {
-		if tp, ok := rest[0].(TriplePattern); ok {
-			return e.evalTriplePatternCap(tp, batch, cap)
-		}
-	}
-	return e.evalElems(rest, filters, batch)
 }
 
 // topkEntry is one candidate in the bounded ORDER BY heap: the solution,
@@ -424,8 +455,8 @@ func (e *engine) streamTopK(q *Query, k int) ([]Binding, error) {
 // runDirect streams the OFFSET/LIMIT-windowed projected rows of a
 // streamDirect-planned SELECT to emit, in materializing order, stopping
 // the scan as soon as the window is filled (or emit declines). The window
-// is enforced on the emit side; the scan budget is a hint the capped
-// parallel executor also honors. Both evaluation entry points — the
+// is enforced on the emit side; the scan budget only clamps the driver's
+// pages. Both evaluation entry points — the
 // materialized fast path and the incremental Stream.Run — are this one
 // loop, so modifier semantics cannot diverge between them.
 func (e *engine) runDirect(q *Query, vars []string, emit func(Binding) bool) error {

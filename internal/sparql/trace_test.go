@@ -35,18 +35,16 @@ func traceStore(t *testing.T) *store.Store {
 
 const traceQuery = `SELECT ?a ?b ?v WHERE { ?a <http://x/cat> "c1" . ?a <http://x/link> ?b . ?b <http://x/num> ?v }`
 
-// TestTraceGolden pins the span structure for a 3-pattern BGP on both
-// executors: the ID pipeline (scan-cross seed, then two merge joins) and
-// the term-space hash path. Durations are zeroed; everything else — span
-// nesting, pattern order after planning, strategies, per-pattern row
-// counts — must match byte for byte.
+// TestTraceGolden pins the span structure for a 3-pattern BGP: a
+// scan-cross seed, then two merge joins. Durations are zeroed; everything
+// else — span nesting, pattern order after planning, strategies,
+// per-pattern row counts — must match byte for byte.
 func TestTraceGolden(t *testing.T) {
 	st := traceStore(t)
 	const plan = `?a <http://x/cat> \"c1\" . ?a <http://x/link> ?b . ?b <http://x/num> ?v`
 	cases := []struct {
-		name     string
-		noIDJoin bool
-		want     string
+		name string
+		want string
 	}{
 		{
 			name: "id-join",
@@ -58,22 +56,11 @@ func TestTraceGolden(t *testing.T) {
 				`{"name":"pattern","detail":"?a <http://x/link> ?b","strategy":"id-merge","rowsIn":2,"rowsOut":2,"durationMicros":0},` +
 				`{"name":"pattern","detail":"?b <http://x/num> ?v","strategy":"id-merge","rowsIn":2,"rowsOut":2,"durationMicros":0}]}]}}`,
 		},
-		{
-			name:     "hash",
-			noIDJoin: true,
-			want: `{"root":{"name":"query","durationMicros":0,"children":[` +
-				`{"name":"parse","durationMicros":0},` +
-				`{"name":"execute","strategy":"materialized","rowsOut":2,"durationMicros":0,"children":[` +
-				`{"name":"plan","detail":"` + plan + `","durationMicros":0},` +
-				`{"name":"pattern","detail":"?a <http://x/cat> \"c1\"","strategy":"hash","rowsIn":1,"rowsOut":2,"durationMicros":0},` +
-				`{"name":"pattern","detail":"?a <http://x/link> ?b","strategy":"hash","rowsIn":2,"rowsOut":2,"durationMicros":0},` +
-				`{"name":"pattern","detail":"?b <http://x/num> ?v","strategy":"hash","rowsIn":2,"rowsOut":2,"durationMicros":0}]}]}}`,
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := explain.NewTrace()
-			res, err := ExecOpts(st, traceQuery, Options{Parallelism: 1, NoIDJoin: tc.noIDJoin, Trace: tr})
+			res, err := ExecOpts(st, traceQuery, Options{Parallelism: 1, Trace: tr})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,41 +89,39 @@ func TestTraceGolden(t *testing.T) {
 func TestTraceRowCountsMatchResults(t *testing.T) {
 	st := idJoinStore(t)
 	q := `SELECT ?e ?o ?v WHERE { ?e <http://x/cat> "c2" . ?e <http://x/link> ?o . ?o <http://x/num> ?v }`
-	for _, noID := range []bool{false, true} {
-		tr := explain.NewTrace()
-		res, err := ExecOpts(st, q, Options{Parallelism: 1, NoIDJoin: noID, Trace: tr})
-		if err != nil {
-			t.Fatal(err)
+	tr := explain.NewTrace()
+	res, err := ExecOpts(st, q, Options{Parallelism: 1, Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pats []*explain.Span
+	var walk func(s *explain.Span)
+	walk = func(s *explain.Span) {
+		if s.Name == "pattern" {
+			pats = append(pats, s)
 		}
-		var pats []*explain.Span
-		var walk func(s *explain.Span)
-		walk = func(s *explain.Span) {
-			if s.Name == "pattern" {
-				pats = append(pats, s)
-			}
-			for _, c := range s.Children {
-				walk(c)
-			}
+		for _, c := range s.Children {
+			walk(c)
 		}
-		walk(tr.Root())
-		if len(pats) != 3 {
-			t.Fatalf("noIDJoin=%v: %d pattern spans, want 3", noID, len(pats))
+	}
+	walk(tr.Root())
+	if len(pats) != 3 {
+		t.Fatalf("%d pattern spans, want 3", len(pats))
+	}
+	for i := 1; i < len(pats); i++ {
+		if pats[i].RowsIn != pats[i-1].RowsOut {
+			t.Errorf("span %d rowsIn %d != prior rowsOut %d", i, pats[i].RowsIn, pats[i-1].RowsOut)
 		}
-		for i := 1; i < len(pats); i++ {
-			if pats[i].RowsIn != pats[i-1].RowsOut {
-				t.Errorf("noIDJoin=%v: span %d rowsIn %d != prior rowsOut %d", noID, i, pats[i].RowsIn, pats[i-1].RowsOut)
-			}
-		}
-		if last := pats[len(pats)-1]; last.RowsOut != len(res.Rows) {
-			t.Errorf("noIDJoin=%v: final span rowsOut %d != result rows %d", noID, last.RowsOut, len(res.Rows))
-		}
-		if s := tr.Summary(); s == "" {
-			t.Error("empty trace summary")
-		}
+	}
+	if last := pats[len(pats)-1]; last.RowsOut != len(res.Rows) {
+		t.Errorf("final span rowsOut %d != result rows %d", last.RowsOut, len(res.Rows))
+	}
+	if s := tr.Summary(); s == "" {
+		t.Error("empty trace summary")
 	}
 }
 
-// TestEngineMetrics drives both executors and the streaming path, checking
+// TestEngineMetrics drives the executor and the streaming path, checking
 // the counters move where expected.
 func TestEngineMetrics(t *testing.T) {
 	st := traceStore(t)
@@ -153,12 +138,6 @@ func TestEngineMetrics(t *testing.T) {
 	}
 	if met.RowsOut.Value() == 0 || met.MatchesScanned.Value() == 0 {
 		t.Errorf("RowsOut=%d MatchesScanned=%d, want > 0", met.RowsOut.Value(), met.MatchesScanned.Value())
-	}
-	if _, err := ExecOpts(st, traceQuery, Options{Parallelism: 1, NoIDJoin: true, Metrics: met}); err != nil {
-		t.Fatal(err)
-	}
-	if met.RunsHash.Value() == 0 {
-		t.Error("RunsHash did not move")
 	}
 	if _, err := ExecOpts(st, `SELECT ?s WHERE { ?s <http://x/cat> "c1" } LIMIT 1`, Options{Parallelism: 1, Metrics: met}); err != nil {
 		t.Fatal(err)
@@ -186,8 +165,7 @@ func TestEngineMetrics(t *testing.T) {
 // TestTraceFilterSpan pins the pushed-down filter's span: it hangs under
 // the last pattern span of the run it was pushed into and records the rows
 // entering and leaving the filter, so a trace shows where rows were
-// dropped. A filter left at the group's end (on the hash path, which does
-// not push filters) records no span.
+// dropped.
 func TestTraceFilterSpan(t *testing.T) {
 	st := traceStore(t)
 	const q = `SELECT ?a ?v WHERE { ?a <http://x/cat> "c1" . ?a <http://x/num> ?v FILTER(?v > 1) }`
@@ -198,29 +176,23 @@ func TestTraceFilterSpan(t *testing.T) {
 		`{"name":"pattern","detail":"?a <http://x/cat> \"c1\"","strategy":"id-cross","rowsIn":1,"rowsOut":2,"durationMicros":0},` +
 		`{"name":"pattern","detail":"?a <http://x/num> ?v","strategy":"id-merge","rowsIn":2,"rowsOut":2,"durationMicros":0,"children":[` +
 		`{"name":"filter","detail":"(?v > \"1\"^^<http://www.w3.org/2001/XMLSchema#integer>)","strategy":"id-filter","rowsIn":2,"rowsOut":1,"durationMicros":0}]}]}]}}`
-	for _, noIDJoin := range []bool{false, true} {
-		tr := explain.NewTrace()
-		res, err := ExecOpts(st, q, Options{Parallelism: 1, NoIDJoin: noIDJoin, Trace: tr})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr.Finish()
-		if len(res.Rows) != 1 {
-			t.Fatalf("noIDJoin=%v: rows = %d, want 1", noIDJoin, len(res.Rows))
-		}
-		tr.ZeroDurations()
-		var sb strings.Builder
-		enc := json.NewEncoder(&sb)
-		enc.SetEscapeHTML(false)
-		if err := enc.Encode(tr); err != nil {
-			t.Fatal(err)
-		}
-		got := strings.TrimSuffix(sb.String(), "\n")
-		if hasFilter := strings.Contains(got, `"name":"filter"`); hasFilter == noIDJoin {
-			t.Errorf("noIDJoin=%v: filter span present=%v\n%s", noIDJoin, hasFilter, got)
-		}
-		if !noIDJoin && got != want {
-			t.Errorf("trace mismatch\n got: %s\nwant: %s", got, want)
-		}
+	tr := explain.NewTrace()
+	res, err := ExecOpts(st, q, Options{Parallelism: 1, Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish()
+	if len(res.Rows) != 1 {
+		t.Fatalf("rows = %d, want 1", len(res.Rows))
+	}
+	tr.ZeroDurations()
+	var sb strings.Builder
+	enc := json.NewEncoder(&sb)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(tr); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.TrimSuffix(sb.String(), "\n"); got != want {
+		t.Errorf("trace mismatch\n got: %s\nwant: %s", got, want)
 	}
 }

@@ -217,9 +217,15 @@ func (st *Store) ForEachID(s, p, o ID, fn func(IDTriple) bool) {
 func (st *Store) EstimateCountIDs(s, p, o ID) int {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	ord, _ := PermutationFor(s != 0, p != 0, o != 0, PosAny)
-	idx := st.indexFor(ord)
-	lo, hi := rangeIn(ord, idx, s, p, o)
+	return st.estimateCountLocked(s, p, o)
+}
+
+// estimateCountLocked is the body EstimateCount and EstimateCountIDs share:
+// the base range of the permutation the scans would use (a bound-object
+// mask counts its exact OSP range, never the whole store), plus matching
+// delta entries, minus matching tombstones. Caller holds mu.
+func (st *Store) estimateCountLocked(s, p, o ID) int {
+	_, lo, hi := st.scanRangeLocked(s, p, o)
 	n := hi - lo
 	for _, e := range st.delta {
 		if (s == 0 || e.s == s) && (p == 0 || e.p == p) && (o == 0 || e.o == o) {
@@ -373,17 +379,25 @@ func (st *Store) ForEachIDPage(s, p, o ID, pos, max int, fn func(IDTriple) bool)
 	st.scanPages.Add(1)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	ord, _ := PermutationFor(s != 0, p != 0, o != 0, PosAny)
-	idx := st.indexFor(ord)
-	lo, hi := rangeIn(ord, idx, s, p, o)
+	return st.forEachPageLocked(s, p, o, pos, max, func(e enc) bool {
+		return fn(IDTriple{e.s, e.p, e.o})
+	})
+}
+
+// forEachPageLocked is the page body ForEachPage and ForEachIDPage share:
+// up to max live matches of the PosAny permutation range, then of the
+// delta, from position pos (base positions first, then n + delta index).
+// Caller holds mu.
+func (st *Store) forEachPageLocked(s, p, o ID, pos, max int, fn func(enc) bool) (next int, done bool) {
+	base, lo, hi := st.scanRangeLocked(s, p, o)
 	n := hi - lo
 	emitted := 0
 	for i := lo + pos; i < hi; i++ {
-		e := idx[i]
+		e := base[i]
 		if _, dead := st.deleted[e]; dead {
 			continue
 		}
-		if !fn(IDTriple{e.s, e.p, e.o}) {
+		if !fn(e) {
 			return i - lo + 1, true
 		}
 		emitted++
@@ -403,7 +417,7 @@ func (st *Store) ForEachIDPage(s, p, o ID, pos, max int, fn func(IDTriple) bool)
 		if _, dead := st.deleted[e]; dead {
 			continue
 		}
-		if !fn(IDTriple{e.s, e.p, e.o}) {
+		if !fn(e) {
 			return n + j + 1, true
 		}
 		emitted++

@@ -44,11 +44,7 @@ func (st *Store) ForEach(p Pattern, fn func(rdf.Triple) bool) {
 		return
 	}
 	st.forEachIDLocked(sid, pid, oid, func(e enc) bool {
-		return fn(rdf.Triple{
-			S: st.terms[e.s],
-			P: st.terms[e.p].(rdf.IRI),
-			O: st.terms[e.o],
-		})
+		return fn(st.tripleLocked(e))
 	})
 }
 
@@ -61,7 +57,8 @@ func (st *Store) ForEach(p Pattern, fn func(rdf.Triple) bool) {
 // positional: a mutation between pages may shift positions, so a paged
 // scan observes the live store rather than one snapshot (callers needing
 // snapshot isolation use ForEach). fn returning false ends the scan
-// (done=true). max < 1 returns immediately with done=false.
+// (done=true). max < 1 returns immediately with done=false. It is
+// ForEachIDPage over the pattern's resolved IDs, decoding each match.
 func (st *Store) ForEachPage(p Pattern, pos, max int, fn func(rdf.Triple) bool) (next int, done bool) {
 	if max < 1 {
 		return pos, false
@@ -74,49 +71,14 @@ func (st *Store) ForEachPage(p Pattern, pos, max int, fn func(rdf.Triple) bool) 
 	if !ok {
 		return pos, true
 	}
-	base, lo, hi := st.scanRangeLocked(sid, pid, oid)
-	n := hi - lo
-	emitted := 0
-	for i := lo + pos; i < hi; i++ {
-		e := base[i]
-		if _, dead := st.deleted[e]; dead {
-			continue
-		}
-		if !fn(rdf.Triple{S: st.terms[e.s], P: st.terms[e.p].(rdf.IRI), O: st.terms[e.o]}) {
-			return i - lo + 1, true
-		}
-		emitted++
-		if emitted >= max {
-			return i - lo + 1, false
-		}
-	}
-	dpos := pos - n
-	if dpos < 0 {
-		dpos = 0
-	}
-	for j := dpos; j < len(st.delta); j++ {
-		e := st.delta[j]
-		if sid != 0 && e.s != sid {
-			continue
-		}
-		if pid != 0 && e.p != pid {
-			continue
-		}
-		if oid != 0 && e.o != oid {
-			continue
-		}
-		if _, dead := st.deleted[e]; dead {
-			continue
-		}
-		if !fn(rdf.Triple{S: st.terms[e.s], P: st.terms[e.p].(rdf.IRI), O: st.terms[e.o]}) {
-			return n + j + 1, true
-		}
-		emitted++
-		if emitted >= max {
-			return n + j + 1, false
-		}
-	}
-	return n + len(st.delta), true
+	return st.forEachPageLocked(sid, pid, oid, pos, max, func(e enc) bool {
+		return fn(st.tripleLocked(e))
+	})
+}
+
+// tripleLocked decodes an encoded triple. Caller holds mu.
+func (st *Store) tripleLocked(e enc) rdf.Triple {
+	return rdf.Triple{S: st.terms[e.s], P: st.terms[e.p].(rdf.IRI), O: st.terms[e.o]}
 }
 
 // resolvePatternLocked interns the pattern's constant terms to IDs;
@@ -244,37 +206,9 @@ func (st *Store) Triples() []rdf.Triple {
 func (st *Store) EstimateCount(p Pattern) int {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	var sid, pid, oid ID
-	var ok bool
-	if p.S != nil {
-		if sid, ok = st.lookup(p.S); !ok {
-			return 0
-		}
+	sid, pid, oid, ok := st.resolvePatternLocked(p)
+	if !ok {
+		return 0
 	}
-	if p.P != nil {
-		if pid, ok = st.lookup(p.P); !ok {
-			return 0
-		}
-	}
-	if p.O != nil {
-		if oid, ok = st.lookup(p.O); !ok {
-			return 0
-		}
-	}
-	// Same permutation-selection table as the scans: a bound-object pattern
-	// counts its exact OSP range, never the whole store.
-	ord, _ := PermutationFor(sid != 0, pid != 0, oid != 0, PosAny)
-	idx := st.indexFor(ord)
-	lo, hi := rangeIn(ord, idx, sid, pid, oid)
-	n := hi - lo
-	for _, e := range st.delta {
-		if (sid == 0 || e.s == sid) && (pid == 0 || e.p == pid) && (oid == 0 || e.o == oid) {
-			n++
-		}
-	}
-	n -= st.countTombstonedLocked(sid, pid, oid)
-	if n < 0 {
-		n = 0
-	}
-	return n
+	return st.estimateCountLocked(sid, pid, oid)
 }
