@@ -74,7 +74,8 @@ bench:
 # at 200k triples, the HETree build over a 20k-entity property, the
 # federation bind-join benchmarks (batched
 # VALUES dispatch vs one-request-per-binding at 1k bindings), and the
-# streaming LIMIT-pushdown pair: verifies the benchmark paths execute,
+# streaming LIMIT-pushdown benchmarks (LIMIT 10 against the same query
+# without LIMIT, a LIMIT 20 conjunction, ORDER BY top-k): verifies the benchmark paths execute,
 # without timing noise gating CI. Timing regressions are gated separately
 # by bench-regression against the committed baseline.
 bench-smoke:

@@ -157,15 +157,17 @@ func streamStoreRegress(n int) *store.Store {
 	return st
 }
 
-// streamScenarios measures the streaming pipeline: LIMIT pushdown vs the
-// materializing path, and the bounded ORDER BY top-k heap.
+// streamScenarios measures the streaming pipeline: LIMIT pushdown against
+// full evaluation (the same query without its LIMIT, which materializes
+// every solution), and the bounded ORDER BY top-k heap.
 func streamScenarios() []benchResult {
 	st := streamStoreRegress(120000)
-	limit := `SELECT ?s ?v WHERE { ?s <http://bench/value> ?v } LIMIT 10`
-	topk := `SELECT ?s ?v WHERE { ?s <http://bench/value> ?v } ORDER BY DESC(?v) LIMIT 10`
+	full := `SELECT ?s ?v WHERE { ?s <http://bench/value> ?v }`
+	limit := full + ` LIMIT 10`
+	topk := full + ` ORDER BY DESC(?v) LIMIT 10`
 
 	streamed := msPerOp(benchQuery(st, limit, sparql.Options{}))
-	materialized := msPerOp(benchQuery(st, limit, sparql.Options{NoStream: true}))
+	materialized := msPerOp(benchQuery(st, full, sparql.Options{}))
 	topkMS := msPerOp(benchQuery(st, topk, sparql.Options{}))
 
 	return []benchResult{

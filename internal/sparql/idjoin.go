@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"slices"
+	"strings"
 	"time"
 
 	"github.com/lodviz/lodviz/internal/explain"
@@ -67,47 +68,98 @@ func (t *idTail) decode() []Binding {
 	return decodeIDRows(t.src, t.rows, t.slotVars, t.input)
 }
 
-// evalPatternRun evaluates a run of triple patterns over input, applies the
-// filters pushed into the run, and returns the surviving rows undecoded.
-func (e *engine) evalPatternRun(run []TriplePattern, filters runFilters, input []Binding) (idTail, error) {
-	if e.met != nil {
-		e.met.RunsIDJoin.Inc()
+// patternRun is one run of consecutive triple patterns prepared for ID-space
+// evaluation: the slot table, the term→ID memo shared by every encode and
+// join over the run, and the filters pushed into it. evalPatternRun encodes
+// its input and joins it in one call; the streaming driver encodes once and
+// joins page after page.
+type patternRun struct {
+	src     Source
+	pats    []TriplePattern
+	filters runFilters
+	// slotVars names the row slots: every variable any pattern in the run
+	// mentions, in first-mention order.
+	slotVars []string
+	// memo caches term→ID lookups (constants repeat across patterns, input
+	// columns across rows); 0 records a known-absent term.
+	memo map[rdf.Term]store.ID
+	// stages, when tracing, accumulates one entry per pattern and then one
+	// per filter prog across join calls; flushRun records them as spans.
+	stages []stage
+}
+
+// stage is one pattern's or pushed filter's trace accounting, summed over
+// every join call of its run.
+type stage struct {
+	ran     bool
+	in, out int
+	pages   int
+	strats  []string // distinct strategies, in first-use order
+	dur     time.Duration
+}
+
+func (s *stage) add(strat string, in, out int, start time.Time) {
+	s.ran = true
+	s.in += in
+	s.out += out
+	s.dur += time.Since(start)
+	if !slices.Contains(s.strats, strat) {
+		s.strats = append(s.strats, strat)
 	}
-	src := e.st
-	// Slot table: every variable any pattern in the run mentions.
-	slotOf := map[string]int{}
-	var slotVars []string
-	for _, tp := range run {
+}
+
+func (e *engine) newPatternRun(pats []TriplePattern, filters runFilters) patternRun {
+	r := patternRun{src: e.st, pats: pats, filters: filters, memo: map[rdf.Term]store.ID{}}
+	for _, tp := range pats {
 		for _, n := range [3]Node{tp.S, tp.P, tp.O} {
-			if n.IsVar() {
-				if _, ok := slotOf[n.Var]; !ok {
-					slotOf[n.Var] = len(slotVars)
-					slotVars = append(slotVars, n.Var)
-				}
+			if n.IsVar() && !slices.Contains(r.slotVars, n.Var) {
+				r.slotVars = append(r.slotVars, n.Var)
 			}
 		}
 	}
-	stride := len(slotVars)
-
-	// Term→ID memo shared by the run (constants repeat across patterns,
-	// input columns repeat across rows). 0 records a known-absent term.
-	memo := map[rdf.Term]store.ID{}
-	lookup := func(t rdf.Term) (store.ID, bool) {
-		if id, ok := memo[t]; ok {
-			return id, id != 0
-		}
-		id, ok := src.LookupTermID(t)
-		if !ok {
-			id = 0
-		}
-		memo[t] = id
-		return id, ok
+	if e.trace != nil {
+		r.stages = make([]stage, len(pats)+len(filters.progs))
 	}
+	return r
+}
 
-	// Encode the input. A binding whose slot term is absent from the
-	// dictionary can never survive the pattern mentioning that slot (every
-	// slot is mentioned by some pattern in the run), so the row is dropped —
-	// a probe with that term could match nothing.
+func (r *patternRun) lookup(t rdf.Term) (store.ID, bool) {
+	if id, ok := r.memo[t]; ok {
+		return id, id != 0
+	}
+	id, ok := r.src.LookupTermID(t)
+	if !ok {
+		id = 0
+	}
+	r.memo[t] = id
+	return id, ok
+}
+
+// positions encodes a pattern of the run: constants become IDs, variables
+// their slots. ok=false means a constant is absent from the dictionary, so
+// no triple matches.
+func (r *patternRun) positions(tp TriplePattern) (ps [3]idPos, ok bool) {
+	for i, n := range [3]Node{tp.S, tp.P, tp.O} {
+		if n.IsVar() {
+			ps[i] = idPos{slot: slices.Index(r.slotVars, n.Var)}
+			continue
+		}
+		id, ok := r.lookup(n.Term)
+		if !ok {
+			return ps, false
+		}
+		ps[i] = idPos{slot: -1, id: id}
+	}
+	return ps, true
+}
+
+// encode turns input bindings into rows over the run's slots. A binding
+// whose slot term is absent from the dictionary can never survive the
+// pattern mentioning that slot (every slot is mentioned by some pattern in
+// the run), so its row is dropped — a probe with that term could match
+// nothing.
+func (r *patternRun) encode(input []Binding) idRows {
+	stride := len(r.slotVars)
 	rows := idRows{stride: stride, parents: make([]int32, 0, len(input))}
 	if stride > 0 {
 		rows.ids = make([]store.ID, 0, stride*len(input))
@@ -116,12 +168,12 @@ func (e *engine) evalPatternRun(run []TriplePattern, filters runFilters, input [
 	for i, b := range input {
 		clear(scratch)
 		dead := false
-		for s, v := range slotVars {
+		for s, v := range r.slotVars {
 			t, bound := b[v]
 			if !bound {
 				continue
 			}
-			id, inDict := lookup(t)
+			id, inDict := r.lookup(t)
 			if !inDict {
 				dead = true
 				break
@@ -134,17 +186,75 @@ func (e *engine) evalPatternRun(run []TriplePattern, filters runFilters, input [
 		rows.ids = append(rows.ids, scratch...)
 		rows.parents = append(rows.parents, int32(i))
 	}
+	return rows
+}
 
-	// Per-slot binding state across the surviving rows: boundAll slots join
-	// (their value keys a merge), fresh (!boundAny) slots are pure outputs,
-	// mixed slots force the generic probe.
-	boundAll := make([]bool, stride)
-	boundAny := make([]bool, stride)
-	for s := range boundAll {
-		boundAll[s] = rows.n() > 0
+// evalPatternRun evaluates a run of triple patterns over input, applies the
+// filters pushed into the run, and returns the surviving rows undecoded.
+func (e *engine) evalPatternRun(run []TriplePattern, filters runFilters, input []Binding) (idTail, error) {
+	if e.met != nil {
+		e.met.RunsIDJoin.Inc()
 	}
-	for r := 0; r < rows.n(); r++ {
-		for s, id := range rows.row(r) {
+	r := e.newPatternRun(run, filters)
+	rows, err := e.joinRun(&r, 0, r.encode(input), input)
+	e.flushRun(&r)
+	if err != nil {
+		return idTail{}, err
+	}
+	return idTail{src: r.src, rows: rows, slotVars: r.slotVars, input: input}, nil
+}
+
+// joinRun is the run's join loop: it extends rows (whose parents index
+// input) through the patterns from r.pats[from] on, then applies the
+// filters pushed into the run.
+func (e *engine) joinRun(r *patternRun, from int, rows idRows, input []Binding) (idRows, error) {
+	var boundAll, boundAny []bool
+	for i := from; i < len(r.pats) && rows.n() > 0; i++ {
+		if err := e.cancelled(); err != nil {
+			return idRows{}, err
+		}
+		if boundAll == nil {
+			boundAll, boundAny = slotState(rows)
+		}
+		tp := r.pats[i]
+		var start time.Time
+		if r.stages != nil {
+			start = time.Now()
+		}
+		before := rows.n()
+		var strat string
+		var err error
+		rows, strat, err = e.evalOnePatternIDs(r, tp, rows, boundAll, boundAny)
+		if err != nil {
+			return idRows{}, err
+		}
+		if r.stages != nil {
+			r.stages[i].add(strat, before, rows.n(), start)
+		}
+		if e.met != nil {
+			e.met.RowsOut.Add(uint64(rows.n()))
+		}
+		for _, n := range [3]Node{tp.S, tp.P, tp.O} {
+			if n.IsVar() && rows.n() > 0 {
+				s := slices.Index(r.slotVars, n.Var)
+				boundAll[s], boundAny[s] = true, true
+			}
+		}
+	}
+	return rows, e.filterIDRows(r, &rows, input)
+}
+
+// slotState classifies each slot across rows: boundAll slots join (their
+// value keys a merge), fresh (!boundAny) slots are pure outputs, mixed slots
+// force the generic probe.
+func slotState(rows idRows) (boundAll, boundAny []bool) {
+	boundAll = make([]bool, rows.stride)
+	boundAny = make([]bool, rows.stride)
+	for s := range boundAll {
+		boundAll[s] = true
+	}
+	for i := 0; i < rows.n(); i++ {
+		for s, id := range rows.row(i) {
 			if id == 0 {
 				boundAll[s] = false
 			} else {
@@ -152,89 +262,51 @@ func (e *engine) evalPatternRun(run []TriplePattern, filters runFilters, input [
 			}
 		}
 	}
-
-	var lastSpan *explain.Span
-	for _, tp := range run {
-		if err := e.cancelled(); err != nil {
-			return idTail{}, err
-		}
-		if rows.n() == 0 {
-			break
-		}
-		var start time.Time
-		if e.trace != nil {
-			start = time.Now()
-		}
-		before := rows.n()
-		var strat string
-		var err error
-		rows, strat, err = e.evalOnePatternIDs(src, tp, rows, slotOf, boundAll, boundAny, lookup)
-		if err != nil {
-			return idTail{}, err
-		}
-		if e.trace != nil {
-			lastSpan = e.trace.Add(e.exec, "pattern")
-			lastSpan.Set(patternString(tp), strat, before, rows.n(), start)
-		}
-		if e.met != nil {
-			e.met.RowsOut.Add(uint64(rows.n()))
-		}
-		for _, n := range [3]Node{tp.S, tp.P, tp.O} {
-			if n.IsVar() && rows.n() > 0 {
-				s := slotOf[n.Var]
-				boundAll[s], boundAny[s] = true, true
-			}
-		}
-	}
-	t := idTail{src: src, rows: rows, slotVars: slotVars, input: input}
-	if err := e.filterIDRows(&t, filters, lastSpan); err != nil {
-		return idTail{}, err
-	}
-	return t, nil
+	return boundAll, boundAny
 }
 
 // filterIDRows applies the filters pushed into a pattern run to its ID rows
 // in place, before anything is decoded: only the values the filters read
-// are resolved, once per distinct ID through the query's memo. Each filter
-// is traced as a "filter" span under the run's last pattern span.
-func (e *engine) filterIDRows(t *idTail, filters runFilters, runSpan *explain.Span) error {
-	if !slices.Contains(filters.at, filters.first) || t.rows.n() == 0 {
+// are resolved, once per distinct ID through the query's memo.
+func (e *engine) filterIDRows(r *patternRun, rows *idRows, input []Binding) error {
+	filters := r.filters
+	if !slices.Contains(filters.at, filters.first) || rows.n() == 0 {
 		return nil
 	}
 	memo, shared := e.acquireMemo()
 	defer e.releaseMemo(shared)
-	stride := t.rows.stride
+	stride := rows.stride
 	var en env
 	for k, f := range filters.progs {
 		if filters.at[k] != filters.first {
 			continue
 		}
 		var start time.Time
-		if e.trace != nil {
+		if r.stages != nil {
 			start = time.Now()
 		}
-		rb := newRowBinder(f.fr, f.layoutFor(t.slotVars), memo)
-		rb.resolve(t.src, t.rows)
-		before, kept := t.rows.n(), 0
-		for r := 0; r < before; r++ {
-			if r%cancelCheckInterval == 0 {
+		rb := newRowBinder(f.fr, f.layoutFor(r.slotVars), memo)
+		rb.resolve(r.src, *rows)
+		before, kept := rows.n(), 0
+		for i := 0; i < before; i++ {
+			if i%cancelCheckInterval == 0 {
 				if err := e.cancelled(); err != nil {
 					return err
 				}
 			}
-			// Rows before r may already be overwritten by survivors; row r
+			// Rows before i may already be overwritten by survivors; row i
 			// and the resolved cells (indexed by original row) are intact.
-			rb.bind(&en, t.rows, r, t.input[t.rows.parents[r]])
+			rb.bind(&en, *rows, i, input[rows.parents[i]])
 			if ebvTrue(f.fn, &en) {
-				copy(t.rows.ids[kept*stride:], t.rows.row(r))
-				t.rows.parents[kept] = t.rows.parents[r]
+				copy(rows.ids[kept*stride:], rows.row(i))
+				rows.parents[kept] = rows.parents[i]
 				kept++
 			}
 		}
-		t.rows.ids = t.rows.ids[:kept*stride]
-		t.rows.parents = t.rows.parents[:kept]
-		if runSpan != nil {
-			e.trace.Add(runSpan, "filter").Set(exprString(f.expr), "id-filter", before, kept, start)
+		rows.ids = rows.ids[:kept*stride]
+		rows.parents = rows.parents[:kept]
+		if r.stages != nil {
+			r.stages[len(r.pats)+k].add("id-filter", before, kept, start)
 		}
 		if kept == 0 {
 			break
@@ -243,22 +315,37 @@ func (e *engine) filterIDRows(t *idTail, filters runFilters, runSpan *explain.Sp
 	return nil
 }
 
+// flushRun records a run's accumulated stages in the trace: one "pattern"
+// span per pattern that ran, and each pushed filter as a "filter" span
+// under the last of them.
+func (e *engine) flushRun(r *patternRun) {
+	var last *explain.Span
+	for i, st := range r.stages {
+		if !st.ran {
+			continue
+		}
+		var sp *explain.Span
+		var detail string
+		if i < len(r.pats) {
+			sp, detail = e.trace.Add(e.exec, "pattern"), patternString(r.pats[i])
+			last = sp
+		} else if last != nil {
+			sp, detail = e.trace.Add(last, "filter"), exprString(r.filters.progs[i-len(r.pats)].expr)
+		}
+		sp.Set(detail, strings.Join(st.strats, "+"), st.in, st.out, time.Now().Add(-st.dur))
+		sp.SetPages(st.pages)
+	}
+}
+
 // evalOnePatternIDs extends rows by one pattern, picking the cheapest
 // order-preserving strategy; the strategy chosen is returned for traces
 // ("id-merge", "id-cross", "id-probe", or "id-empty" when a constant is
 // absent from the dictionary).
-func (e *engine) evalOnePatternIDs(src Source, tp TriplePattern, rows idRows, slotOf map[string]int, boundAll, boundAny []bool, lookup func(rdf.Term) (store.ID, bool)) (idRows, string, error) {
-	var ps [3]idPos
-	for i, n := range [3]Node{tp.S, tp.P, tp.O} {
-		if n.IsVar() {
-			ps[i] = idPos{slot: slotOf[n.Var]}
-		} else {
-			id, ok := lookup(n.Term)
-			if !ok {
-				return idRows{stride: rows.stride}, "id-empty", nil // constant not in dictionary: no triple matches
-			}
-			ps[i] = idPos{slot: -1, id: id}
-		}
+func (e *engine) evalOnePatternIDs(r *patternRun, tp TriplePattern, rows idRows, boundAll, boundAny []bool) (idRows, string, error) {
+	src := r.src
+	ps, ok := r.positions(tp)
+	if !ok {
+		return idRows{stride: rows.stride}, "id-empty", nil
 	}
 
 	// Classify the pattern's variable slots against the current rows.

@@ -76,16 +76,14 @@ var idJoinQueries = []struct {
 }
 
 // TestIDJoinDifferential is the executor contract: for every query shape,
-// every parallelism setting, and both pipelines (streaming and
-// materializing), the engine returns the reference evaluator's answer.
+// every parallelism setting, and both entries (ExecCtx and Stream), the
+// engine returns the reference evaluator's answer.
 func TestIDJoinDifferential(t *testing.T) {
 	st := idJoinStore(t)
 	for _, tc := range idJoinQueries {
 		for _, par := range []int{1, 8} {
-			for _, noStream := range []bool{false, true} {
-				if d := diffQuery(st, st, tc.q, Options{Parallelism: par, NoStream: noStream}); d != "" {
-					t.Errorf("%s (par=%d noStream=%v): %s", tc.name, par, noStream, d)
-				}
+			if d := diffQuery(st, st, tc.q, Options{Parallelism: par}); d != "" {
+				t.Errorf("%s (par=%d): %s", tc.name, par, d)
 			}
 		}
 	}
@@ -238,8 +236,7 @@ var pushdownQueries = []struct {
 
 // TestPushdownMatchesReference pins FILTER pushdown and ID-space grouping
 // to the reference evaluator, which filters only at each group's end and
-// groups decoded Bindings, at every parallelism and on both the streaming
-// and the materializing pipeline.
+// groups decoded Bindings, at every parallelism and through both entries.
 func TestPushdownMatchesReference(t *testing.T) {
 	st := idJoinStore(t)
 	for _, tc := range pushdownQueries {
@@ -255,10 +252,8 @@ func TestPushdownMatchesReference(t *testing.T) {
 			t.Errorf("%s: no rows; the case tests nothing", tc.name)
 		}
 		for _, par := range []int{1, 8} {
-			for _, noStream := range []bool{false, true} {
-				if d := diffQuery(st, st, tc.q, Options{Parallelism: par, NoStream: noStream}); d != "" {
-					t.Errorf("%s (par=%d noStream=%v): %s", tc.name, par, noStream, d)
-				}
+			if d := diffQuery(st, st, tc.q, Options{Parallelism: par}); d != "" {
+				t.Errorf("%s (par=%d): %s", tc.name, par, d)
 			}
 		}
 	}

@@ -96,7 +96,7 @@ var optionalPlanQueries = []struct{ name, q string }{
 // TestOptionalPlanMatchesNoReorder checks that the seeded inner plans
 // return the same solutions as the unplanned textual order — as multisets,
 // since only the row order inside one outer row may change — at every
-// parallelism, streamed and materialized.
+// parallelism, through both entries.
 func TestOptionalPlanMatchesNoReorder(t *testing.T) {
 	st := optionalStore(t)
 	for _, tc := range optionalPlanQueries {
@@ -106,13 +106,13 @@ func TestOptionalPlanMatchesNoReorder(t *testing.T) {
 		}
 		want := solutionKeys(evalNoReorder(t, st, q))
 		for _, par := range []int{1, 8} {
-			for _, noStream := range []bool{false, true} {
-				res, err := EvalOpts(st, q, Options{Parallelism: par, NoStream: noStream})
+			for _, entry := range entries {
+				res, err := entry.eval(st, q, Options{Parallelism: par})
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got := solutionKeys(res); !reflect.DeepEqual(got, want) {
-					t.Errorf("%s (par=%d noStream=%v): %d solutions, textual order %d", tc.name, par, noStream, len(got), len(want))
+					t.Errorf("%s (par=%d %s): %d solutions, textual order %d", tc.name, par, entry.name, len(got), len(want))
 				}
 			}
 		}
@@ -129,7 +129,7 @@ func TestOptionalPlanMatchesNoReorder(t *testing.T) {
 func TestOptionalPlanStreamedLimit(t *testing.T) {
 	st := optionalStore(t)
 	for _, tc := range optionalPlanQueries[:3] {
-		full := execOpts(t, st, optionalQuery(tc.q), Options{Parallelism: 1, NoStream: true})
+		full := execOpts(t, st, optionalQuery(tc.q), Options{Parallelism: 1}) // no LIMIT: materialized
 		limited := optionalQuery(tc.q) + " LIMIT 25"
 		for _, par := range []int{1, 8} {
 			got := execOpts(t, st, limited, Options{Parallelism: par})
@@ -163,10 +163,13 @@ func TestOptionalPlanStreamedLimit(t *testing.T) {
 			return false
 		})
 		ref.Rows = ref.Rows[:min(25, len(ref.Rows))]
-		for _, noStream := range []bool{false, true} {
-			got := execOpts(t, st, ordered, Options{Parallelism: 1, NoStream: noStream})
+		for _, entry := range entries {
+			got, err := entry.eval(st, oq, Options{Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
 			if !reflect.DeepEqual(got.Rows, ref.Rows) {
-				t.Errorf("%s ORDER BY LIMIT (noStream=%v): %v", tc.name, noStream, firstDiff(ref.Rows, got.Rows))
+				t.Errorf("%s ORDER BY LIMIT (%s): %v", tc.name, entry.name, firstDiff(ref.Rows, got.Rows))
 			}
 		}
 	}

@@ -45,12 +45,6 @@ type Options struct {
 	// SERVICE fails the query and SERVICE SILENT degrades to the local
 	// partial result.
 	Service ServiceEvaluator
-	// NoStream disables the streaming fast paths (LIMIT-pushdown early
-	// termination, the bounded top-k heap for ORDER BY + LIMIT, and the
-	// first-solution short-circuit for ASK), forcing the materializing
-	// pipeline. Results are identical either way; benchmarks and
-	// differential tests use it to compare the two paths.
-	NoStream bool
 	// Metrics, when set, receives aggregate engine counters (pattern runs,
 	// rows, scanned matches/pages, pushdown hits). Nil costs
 	// one pointer check per flush site.

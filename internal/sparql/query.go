@@ -2,6 +2,8 @@ package sparql
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -68,91 +70,156 @@ func EvalOpts(st Source, q *Query, opt Options) (*Results, error) {
 // EvalCtx evaluates a parsed query under a context; see ExecCtx for the
 // cancellation and error-classification contract.
 func EvalCtx(ctx context.Context, st Source, q *Query, opt Options) (*Results, error) {
-	res, err := evalCtx(ctx, st, q, opt)
+	res, err := newEngine(ctx, st, opt).evaluate(q, nil)
 	if err != nil {
 		return nil, wrapEval(err)
 	}
 	return res, nil
 }
 
-func evalCtx(ctx context.Context, st Source, q *Query, opt Options) (*Results, error) {
-	return evalWithEngine(newEngine(ctx, st, opt), q, opt)
-}
-
-func evalWithEngine(e *engine, q *Query, opt Options) (res *Results, err error) {
-	execStrategy := "materialized"
+// evaluate is the one query entry behind EvalCtx and Stream.Run/Ask. With
+// emit nil it returns the complete Results; with emit set (Stream.Run) it
+// hands every result row to emit as soon as the row is final and returns
+// Results without rows. The path follows from the query and its consumer
+// (planStream); every path produces the same rows in the same order.
+func (e *engine) evaluate(q *Query, emit func(Binding) bool) (res *Results, err error) {
+	strategy, emitted := "materialized", 0
 	if e.trace != nil {
 		execStart := time.Now()
 		e.exec = e.trace.Add(nil, "execute")
+		if inner := emit; inner != nil {
+			emit = func(row Binding) bool {
+				emitted++
+				return inner(row)
+			}
+		}
 		defer func() {
-			e.exec.Set("", execStrategy, 0, resultRows(res), execStart)
+			rows := emitted
+			if res != nil {
+				rows += len(res.Rows)
+				if res.Ask {
+					rows = 1
+				}
+			}
+			e.exec.Set("", strategy, 0, rows, execStart)
 		}()
 	}
-	// Early-termination fast paths: LIMIT-pushdown scans, the bounded
-	// ORDER BY top-k heap, and first-solution ASK. They return exactly the
-	// rows the materializing pipeline below would; see stream.go.
-	if !opt.NoStream {
-		if r, ok, ferr := e.evalStreamFast(q); ok {
-			if e.met != nil {
-				e.met.QueriesStreamed.Inc()
-			}
-			execStrategy = "streamed"
-			return r, ferr
-		}
+	res = &Results{Form: q.Form}
+	if q.Form == FormSelect {
+		res.Vars = streamVars(q)
 	}
+
+	if mode := planStream(q, emit != nil); mode != streamNone {
+		for attempt := 0; attempt < scanRestartAttempts; attempt++ {
+			delivered, err := e.stream(q, mode, res, emit)
+			if !errors.Is(err, errScanShifted) {
+				if err != nil {
+					return nil, err
+				}
+				if e.met != nil {
+					e.met.QueriesStreamed.Inc()
+				}
+				strategy = "streamed"
+				return res, nil
+			}
+			if delivered {
+				// Rows already reached the consumer; a restart would
+				// duplicate them. Surface the conflict instead.
+				return nil, fmt.Errorf("%w; re-run the query", err)
+			}
+		}
+		// Compaction churn with nothing delivered: fall through to the
+		// materializing pipeline, which is snapshot-consistent.
+	}
+
 	if e.met != nil {
 		e.met.QueriesMaterialized.Inc()
 	}
 	var rows []Binding
-	var vars []string
 	if q.Form == FormSelect && (len(q.GroupBy) > 0 || projectionHasAggregates(q)) {
-		rows, vars, err = e.evalGrouped(q)
-		if err != nil {
+		if rows, res.Vars, err = e.evalGrouped(q); err != nil {
 			return nil, err
 		}
 	} else {
-		var sols []Binding
-		sols, err = e.evalGroup(q.Where, []Binding{{}})
+		sols, err := e.evalGroup(q.Where, []Binding{{}})
 		if err != nil {
 			return nil, err
 		}
 		if q.Form == FormAsk {
-			return &Results{Form: FormAsk, Ask: len(sols) > 0}, nil
+			res.Ask = len(sols) > 0
+			return res, nil
 		}
-		vars = streamVars(q)
-		rows = make([]Binding, 0, len(sols))
-		p := newProjector(q, vars, true)
-		for _, s := range sols {
-			rows = append(rows, p.project(s))
+		rows = project(q, res.Vars, sols)
+	}
+	rows = modifiers(q, res.Vars, rows)
+	if emit == nil {
+		res.Rows = rows
+		return res, nil
+	}
+	for _, row := range rows {
+		if !emit(row) {
+			break
 		}
 	}
+	return res, nil
+}
 
-	// ORDER BY; the hidden key columns are dropped after sorting.
+// stream runs one attempt of a streamed path, collecting the rows into res
+// or, when emit is set, handing them to emit; delivered reports whether a
+// row reached emit (and so cannot be taken back by a restart).
+func (e *engine) stream(q *Query, mode streamMode, res *Results, emit func(Binding) bool) (delivered bool, err error) {
+	res.Rows, res.Ask = nil, false
+	deliver := func(row Binding) bool {
+		if emit == nil {
+			res.Rows = append(res.Rows, row)
+			return true
+		}
+		delivered = true
+		return emit(row)
+	}
+	switch {
+	case q.Form == FormAsk:
+		err = e.streamSolutions(q.Where, 1, func(Binding) bool {
+			res.Ask = true
+			return false
+		})
+	case mode == streamTopK:
+		var sols []Binding
+		if sols, err = e.streamTopK(q, addBudget(q.Offset, q.Limit)); err == nil {
+			for _, row := range modifiers(q, res.Vars, project(q, res.Vars, sols)) {
+				if !deliver(row) {
+					break
+				}
+			}
+		}
+	default:
+		err = e.runDirect(q, res.Vars, deliver)
+	}
+	return delivered, err
+}
+
+// project builds the projected rows of solutions, each carrying its ORDER
+// BY key values in the hidden columns for modifiers.
+func project(q *Query, vars []string, sols []Binding) []Binding {
+	rows := make([]Binding, 0, len(sols))
+	p := newProjector(q, vars, true)
+	for _, s := range sols {
+		rows = append(rows, p.project(s))
+	}
+	return rows
+}
+
+// modifiers applies the solution modifiers to projected rows: ORDER BY on
+// the hidden key columns (dropped after sorting), DISTINCT, then the
+// OFFSET/LIMIT window.
+func modifiers(q *Query, vars []string, rows []Binding) []Binding {
 	hidden := hiddenOrdNames(len(q.OrderBy))
 	sortRows(rows, q.OrderBy, hidden)
 	stripHidden(rows, hidden)
-
-	// DISTINCT.
 	if q.Distinct {
 		rows = distinctRows(rows, vars)
 	}
-	rows = sliceOffsetLimit(rows, q.Offset, q.Limit)
-	return &Results{Form: FormSelect, Vars: vars, Rows: rows}, nil
-}
-
-// resultRows counts a result's rows for the execute span (ASK counts its
-// answer as 0/1).
-func resultRows(r *Results) int {
-	if r == nil {
-		return 0
-	}
-	if r.Form == FormAsk {
-		if r.Ask {
-			return 1
-		}
-		return 0
-	}
-	return len(r.Rows)
+	return sliceOffsetLimit(rows, q.Offset, q.Limit)
 }
 
 // sliceOffsetLimit applies the OFFSET/LIMIT window (limit < 0 = no limit).

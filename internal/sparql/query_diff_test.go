@@ -269,7 +269,7 @@ func (g *queryGen) query() string {
 }
 
 // queryCase builds one seed's graph and checks a batch of queries on it at
-// parallelism 1 and 8, streamed and materialized.
+// parallelism 1 and 8, through both entries (diffQuery).
 func queryCase(t *testing.T, seed uint64) {
 	rng := rand.New(rand.NewPCG(seed, 0x9e3779b97f4a7c15))
 	st := fuzzGraph(t, rng)
@@ -277,10 +277,8 @@ func queryCase(t *testing.T, seed uint64) {
 	for i := 0; i < 12; i++ {
 		q := g.query()
 		for _, par := range []int{1, 8} {
-			for _, noStream := range []bool{false, true} {
-				if d := diffQuery(st, st, q, Options{Parallelism: par, NoStream: noStream}); d != "" {
-					t.Fatalf("seed %d, query %d (par=%d noStream=%v):\n%s\n%s", seed, i, par, noStream, q, d)
-				}
+			if d := diffQuery(st, st, q, Options{Parallelism: par}); d != "" {
+				t.Fatalf("seed %d, query %d (par=%d):\n%s\n%s", seed, i, par, q, d)
 			}
 		}
 	}

@@ -490,13 +490,44 @@ func bindingSig(b Binding) string {
 	return strings.Join(vars, ",") + "=" + rowSig(vars, b)
 }
 
-// diffQuery evaluates query with the engine over src under opt and with the
-// reference evaluator over st, describing the first disagreement ("" when
-// they agree). Both may fail; an engine error the reference does not share
-// is a disagreement, and so is the converse — except under LIMIT or ASK,
-// where the engine may stop before the row that makes the reference fail.
-// For order-sensitive aggregates the reference groups the engine's own
-// WHERE solutions, once they are checked to be the reference's multiset.
+// entries are the query's two entry points: EvalCtx collects Results,
+// Stream delivers them through PrepareStreamQuery's Run (SELECT) or Ask.
+// The differential tests run every query through both.
+var entries = []struct {
+	name string
+	eval func(src Source, q *Query, opt Options) (*Results, error)
+}{
+	{"ExecCtx", func(src Source, q *Query, opt Options) (*Results, error) {
+		return EvalCtx(context.Background(), src, q, opt)
+	}},
+	{"Stream", streamEval},
+}
+
+// streamEval evaluates q through the Stream entry, collecting what Run
+// delivers (or Ask answers) into Results.
+func streamEval(src Source, q *Query, opt Options) (*Results, error) {
+	stm := PrepareStreamQuery(context.Background(), src, q, opt)
+	res := &Results{Form: q.Form, Vars: stm.Vars()}
+	if q.Form == FormAsk {
+		ask, err := stm.Ask()
+		res.Ask = ask
+		return res, err
+	}
+	err := stm.Run(func(row Binding) bool {
+		res.Rows = append(res.Rows, row)
+		return true
+	})
+	return res, err
+}
+
+// diffQuery evaluates query with the engine over src under opt — through
+// each entry — and with the reference evaluator over st, describing the
+// first disagreement ("" when they agree). Both may fail; an engine error
+// the reference does not share is a disagreement, and so is the converse —
+// except under LIMIT or ASK, where the engine may stop before the row that
+// makes the reference fail. For order-sensitive aggregates the reference
+// groups the engine's own WHERE solutions, once they are checked to be the
+// reference's multiset.
 func diffQuery(st *store.Store, src Source, query string, opt Options) string {
 	q, err := Parse(query)
 	if err != nil {
@@ -522,17 +553,23 @@ func diffQuery(st *store.Store, src Source, query string, opt Options) string {
 		}
 		sols = engineSols
 	}
-	got, err := ExecOpts(src, query, opt)
-	switch {
-	case err != nil && refErr == nil:
-		return fmt.Sprintf("engine error %v; the reference answers", err)
-	case err != nil:
-		return ""
-	case refErr != nil:
-		if q.Limit >= 0 || q.Form == FormAsk {
-			return ""
+	for _, entry := range entries {
+		got, err := entry.eval(src, q, opt)
+		var d string
+		switch {
+		case err != nil && refErr == nil:
+			d = fmt.Sprintf("engine error %v; the reference answers", err)
+		case err != nil:
+		case refErr != nil:
+			if q.Limit < 0 && q.Form != FormAsk {
+				d = fmt.Sprintf("reference error %v; the engine answers", refErr)
+			}
+		default:
+			d = refModifiers(q, sols).compare(q, got)
 		}
-		return fmt.Sprintf("reference error %v; the engine answers", refErr)
+		if d != "" {
+			return entry.name + ": " + d
+		}
 	}
-	return refModifiers(q, sols).compare(q, got)
+	return ""
 }

@@ -15,17 +15,17 @@ import (
 )
 
 // errScanShifted reports that the store compacted its indexes between two
-// pages of a streamed scan, invalidating the positional cursor. The
-// materialized fast paths react by restarting (and ultimately falling back
-// to the snapshot-consistent materializing pipeline); an incremental
-// stream that has already delivered rows surfaces it to the consumer.
+// pages of a streamed scan, invalidating the positional cursor. evaluate
+// restarts the query while no row has reached the consumer (and ultimately
+// falls back to the snapshot-consistent materializing pipeline); an
+// incremental stream that has already delivered rows surfaces it.
 var errScanShifted = errors.New("sparql: store layout changed during streamed scan")
 
-// Streaming query evaluation. The materializing pipeline in query.go
-// computes every solution, sorts and deduplicates the full set, and only
-// then slices LIMIT/OFFSET — so an exploration query asking for the first
-// screenful pays the full scan. The paths in this file make top-k the fast
-// path instead:
+// Streaming query evaluation. The materializing pipeline computes every
+// solution, sorts and deduplicates the full set, and only then slices
+// LIMIT/OFFSET — so an exploration query asking for the first screenful
+// would pay the full scan. The paths in this file make top-k the fast path
+// instead:
 //
 //   - streamDirect: plain SELECT ... LIMIT k (+OFFSET) without ORDER BY,
 //     DISTINCT, or grouping stops scanning after offset+k solutions, and
@@ -34,11 +34,11 @@ var errScanShifted = errors.New("sparql: store layout changed during streamed sc
 //     offset+k best solutions while scanning, replacing the full
 //     sort-then-slice: O(k) memory and O(n log k) comparisons.
 //
-// Both paths produce byte-identical rows in identical order to the
-// materializing pipeline (Options.NoStream forces the latter; differential
-// tests compare the two). Queries whose modifiers need the whole solution
-// set — DISTINCT, GROUP BY, aggregates — and shapes whose evaluation is not
-// row-local (UNION, SERVICE) stay on the materializing path.
+// Both produce the rows of the materializing pipeline in its order; the
+// differential tests check them against the reference evaluator and the
+// query's LIMIT-less evaluation. Queries whose modifiers need the whole
+// solution set — DISTINCT, GROUP BY, aggregates — and shapes whose
+// evaluation is not row-local (UNION, SERVICE) materialize.
 
 // streamMode selects the evaluation strategy for a parsed query.
 type streamMode int
@@ -54,13 +54,15 @@ const (
 	streamTopK
 )
 
-// planStream classifies a query. streamDirect/streamTopK are only returned
-// when the streamed rows are provably identical, in order, to the
-// materializing pipeline's output, AND the driver can actually suspend a
-// scan — a top-level triple pattern (after unwrapping redundant nesting).
-// Without one, streaming would be a full evaluation wearing a streaming
-// hat, so such queries honestly report the materializing path.
-func planStream(q *Query) streamMode {
+// planStream picks the evaluation path for a query and its consumer
+// (incremental: rows go to a callback as they are found). streamDirect and
+// streamTopK are only returned when the streamed rows are provably
+// identical, in order, to the materializing pipeline's output, AND the
+// driver can actually suspend a scan — a top-level triple pattern (after
+// unwrapping redundant nesting). Without one, streaming would be a full
+// evaluation wearing a streaming hat, so such queries honestly report the
+// materializing path.
+func planStream(q *Query, incremental bool) streamMode {
 	if q.Where == nil {
 		return streamNone
 	}
@@ -74,12 +76,15 @@ func planStream(q *Query) streamMode {
 	if q.Distinct || len(q.GroupBy) > 0 || len(q.Having) > 0 || projectionHasAggregates(q) {
 		return streamNone
 	}
-	if len(q.OrderBy) == 0 {
+	switch {
+	case len(q.OrderBy) == 0 && (q.Limit >= 0 || incremental):
 		return streamDirect
-	}
-	if q.Limit >= 0 {
+	case len(q.OrderBy) > 0 && q.Limit >= 0 && addBudget(q.Offset, q.Limit) >= 0:
 		return streamTopK
 	}
+	// A LIMIT-less SELECT collected whole materializes: the batch pipeline
+	// computes a whole solution set faster than pages. An overflowing
+	// ORDER BY window has no meaningful heap bound.
 	return streamNone
 }
 
@@ -175,135 +180,97 @@ const (
 // streamSolutions evaluates g, delivering every complete solution (after
 // the group's filters) to emit in exactly the order the materializing
 // pipeline produces, until emit returns false. budget >= 0 is the caller's
-// expected row need: with no tail to join it clamps the scan's pages to the
-// rows still owed, but emit alone decides when delivery stops. budget < 0
-// streams the full solution set.
+// expected row need: when every scan match is a final solution it clamps
+// the scan's pages to the rows still owed, but emit alone decides when
+// delivery stops. budget < 0 streams the full solution set.
 //
-// The driver pages the suspended scan in ID space: each ForEachIDPage call
-// does nothing under the store's read lock but unify-and-collect ID rows,
-// and the page is then decoded with one Terms call, joined through the tail
-// pipeline and handed to emit with the lock released — a nested scan inside
-// the outer one would deadlock behind a queued writer, and a slow network
-// consumer must not stall the store's writers. The flip side is isolation:
-// a write landing between two pages is visible to the remainder of the scan
-// (the materializing path keeps its one-snapshot-per-scan semantics).
+// The driver is a pager over the ID executor. It encodes the group's first
+// pattern run with the run encoder evalPatternRun uses and pages only the
+// run's first pattern through ForEachIDPage; each call does nothing under
+// the store's read lock but unify-and-collect ID rows. With the lock
+// released, the page goes through the rest of the run and the run's pushed
+// filters on the shared join loop, the survivors are decoded once, and only
+// the elements after the run (with the filters not yet applied) see them as
+// Bindings before emit. A nested scan inside the page would deadlock behind
+// a queued writer, and a slow network consumer must not stall the store's
+// writers. The flip side is isolation: a write landing between two pages is
+// visible to the remainder of the scan (the materializing path keeps its
+// one-snapshot-per-scan semantics).
 func (e *engine) streamSolutions(g *Group, budget int, emit func(Binding) bool) error {
 	g = unwrapGroup(g)
-	elems := g.Elems
-	if !e.noReorder {
-		elems = e.reorderTriplePatterns(elems, nil)
-		e.tracePlan(elems)
-	}
-	first := -1
-	for i, el := range elems {
-		if _, ok := el.(TriplePattern); ok {
-			first = i
-			break
-		}
-	}
-	if first == -1 {
-		// Defensive fallback — planStream requires a top-level pattern, so
-		// driven paths never land here: evaluate outright and replay.
-		sols, err := e.evalElems(elems, g.Filters, []Binding{{}})
-		if err != nil {
-			return err
-		}
-		for _, s := range sols {
-			if !emit(s) {
-				return nil
-			}
-		}
-		return nil
-	}
-
-	// The prefix before the first pattern (BIND/VALUES seeds only, per
-	// streamablePrefix) is tiny; the scan of the first pattern over its
-	// output is the loop we suspend.
+	elems := e.planElems(g)
+	// planStream guarantees a top-level pattern, preceded only by BIND and
+	// VALUES seeds: the prefix is tiny, the run's first scan is the loop
+	// we suspend.
+	first := slices.IndexFunc(elems, func(el GroupElem) bool { _, ok := el.(TriplePattern); return ok })
 	input, err := e.evalElems(elems[:first], nil, []Binding{{}})
 	if err != nil {
 		return err
 	}
-	tp := elems[first].(TriplePattern)
-	rest := elems[first+1:]
-	// With no tail and no filters every scan match is a final solution.
-	direct := len(rest) == 0 && len(g.Filters) == 0
-
-	// Driver accounting: pages pulled and scan matches produced, flushed
-	// once on the way out (every return path) to metrics and — as one
-	// "paged-scan" pattern span — to the trace.
-	var pages, driverRows int
-	var driverStart time.Time
-	if e.trace != nil {
-		driverStart = time.Now()
+	var pats []TriplePattern
+	end := first
+	for ; end < len(elems); end++ {
+		tp, ok := elems[end].(TriplePattern)
+		if !ok {
+			break
+		}
+		pats = append(pats, tp)
 	}
+	progs := e.compileFilters(g.Filters)
+	at := make([]int, len(progs))
+	for k := range at {
+		at[k] = -1
+	}
+	placeFilters(elems, progs, at)
+	rest, later := elems[end:], g.Filters
+	if slices.Contains(at, first) {
+		// The filters pushed into the run are applied on ID rows; the rest
+		// go with the elements after it (placed there exactly as the
+		// materializing pipeline places them).
+		later = nil
+		for k, f := range g.Filters {
+			if at[k] != first {
+				later = append(later, f)
+			}
+		}
+	}
+	// With one pattern, no tail and no filters every scan match is a final
+	// solution.
+	direct := len(pats) == 1 && len(rest) == 0 && len(g.Filters) == 0
+
+	if e.met != nil {
+		e.met.RunsIDJoin.Inc()
+	}
+	run := e.newPatternRun(pats, runFilters{progs, at, first})
+	r := &run
+	// Driver accounting: pages pulled and scan matches produced, flushed
+	// once on the way out (every return path) to metrics and — as the
+	// run's first, "paged-scan" pattern stage — to the trace.
+	var pages, scanned int
+	var scanDur time.Duration
 	defer func() {
 		if e.met != nil {
 			e.met.PagesScanned.Add(uint64(pages))
-			e.met.RowsOut.Add(uint64(driverRows))
+			e.met.RowsOut.Add(uint64(scanned))
 		}
-		if e.trace != nil {
-			sp := e.trace.Add(e.exec, "pattern")
-			sp.Set(patternString(tp), "paged-scan", len(input), driverRows, driverStart)
-			sp.SetPages(pages)
+		if r.stages != nil {
+			r.stages[0] = stage{ran: true, in: len(input), out: scanned, pages: pages, strats: []string{"paged-scan"}, dur: scanDur}
+			e.flushRun(r)
 		}
 	}()
+	ps, ok := r.positions(pats[0])
+	if !ok {
+		return nil
+	}
 
-	// Encode the pattern once: constants become IDs, variables slots of a
-	// per-pattern row. A constant absent from the dictionary matches
-	// nothing.
 	src := e.st
-	var ps [3]idPos
-	var slotVars []string
-	for i, n := range [3]Node{tp.S, tp.P, tp.O} {
-		if !n.IsVar() {
-			id, ok := src.LookupTermID(n.Term)
-			if !ok {
-				return nil
-			}
-			ps[i] = idPos{slot: -1, id: id}
-			continue
-		}
-		slot := slices.Index(slotVars, n.Var)
-		if slot < 0 {
-			slot = len(slotVars)
-			slotVars = append(slotVars, n.Var)
-		}
-		ps[i] = idPos{slot: slot}
-	}
-
+	rows := r.encode(input)
 	emitted := 0
-	deliver := func(rows []Binding) bool {
-		for _, r := range rows {
-			emitted++
-			if !emit(r) {
-				return false
-			}
-		}
-		return true
-	}
-
 	epoch := src.LayoutEpoch()
 	batchCap := streamBatchInit
-	page := idRows{stride: len(slotVars)}
-	row := make([]store.ID, len(slotVars))
-	for bi, b := range input {
-		// Encode the input binding once; a slot bound to a term absent
-		// from the dictionary can match nothing.
-		clear(row)
-		dead := false
-		for slot, v := range slotVars {
-			if t, ok := b[v]; ok {
-				id, inDict := src.LookupTermID(t)
-				if !inDict {
-					dead = true
-					break
-				}
-				row[slot] = id
-			}
-		}
-		if dead {
-			continue
-		}
+	page := idRows{stride: rows.stride}
+	for i := 0; i < rows.n(); i++ {
+		row, parent := rows.row(i), rows.parents[i]
 		ms, mp, mo := maskFor(ps, row)
 		pos := 0
 		for {
@@ -315,44 +282,55 @@ func (e *engine) streamSolutions(g *Group, budget int, emit func(Binding) bool) 
 			// final solution, so scanning further is pure waste).
 			max := batchCap
 			if direct && budget >= 0 {
-				rem := remainingBudget(budget, emitted)
-				if rem == 0 {
+				if budget <= emitted {
 					return nil
 				}
-				if rem < max {
-					max = rem
-				}
+				max = min(max, budget-emitted)
+			}
+			var start time.Time
+			if r.stages != nil {
+				start = time.Now()
 			}
 			page.ids, page.parents = page.ids[:0], page.parents[:0]
 			next, done := src.ForEachIDPage(ms, mp, mo, pos, max, func(m store.IDTriple) bool {
 				n := len(page.ids)
 				page.ids = append(page.ids, row...)
 				if idUnify(ps, page.ids[n:], m) {
-					page.parents = append(page.parents, int32(bi))
+					page.parents = append(page.parents, parent)
 				} else {
 					page.ids = page.ids[:n]
 				}
 				return true
 			})
+			if r.stages != nil {
+				scanDur += time.Since(start)
+			}
 			pos = next
 			pages++
-			driverRows += page.n()
+			scanned += page.n()
 			// A compaction between pages reshuffles positions: the page
 			// just read may duplicate or skip triples, so discard it and
 			// let the caller restart or abort.
 			if src.LayoutEpoch() != epoch {
 				return errScanShifted
 			}
-			// Lock released: decode, join and deliver this page's matches.
-			batch := decodeIDRows(src, page, slotVars, input)
-			if !direct && len(batch) > 0 {
-				batch, err = e.evalElems(rest, g.Filters, batch)
-				if err != nil {
+			// Lock released: finish the run on this page, then decode its
+			// survivors and evaluate what follows the run.
+			out, err := e.joinRun(r, 1, page, input)
+			if err != nil {
+				return err
+			}
+			batch := decodeIDRows(src, out, r.slotVars, input)
+			if len(batch) > 0 && (len(rest) > 0 || len(later) > 0) {
+				if batch, err = e.evalElems(rest, later, batch); err != nil {
 					return err
 				}
 			}
-			if !deliver(batch) {
-				return nil
+			for _, b := range batch {
+				emitted++
+				if !emit(b) {
+					return nil
+				}
 			}
 			if done {
 				break
@@ -363,16 +341,6 @@ func (e *engine) streamSolutions(g *Group, budget int, emit func(Binding) bool) 
 		}
 	}
 	return nil
-}
-
-func remainingBudget(budget, emitted int) int {
-	if budget < 0 {
-		return -1
-	}
-	if r := budget - emitted; r > 0 {
-		return r
-	}
-	return 0
 }
 
 // topkEntry is one candidate in the bounded ORDER BY heap: the solution,
@@ -419,6 +387,9 @@ func (h *topkHeap) Pop() any           { panic("topkHeap: never popped") }
 // re-sorts this reduced set, so the final rows are identical — but memory
 // is O(k) and sorting costs O(n log k) instead of O(n log n).
 func (e *engine) streamTopK(q *Query, k int) ([]Binding, error) {
+	if k == 0 {
+		return nil, nil
+	}
 	h := &topkHeap{keys: q.OrderBy, entries: make([]topkEntry, 0, min(k, 1024))}
 	order := compileOrderKeys(q.OrderBy)
 	var en env
@@ -456,9 +427,7 @@ func (e *engine) streamTopK(q *Query, k int) ([]Binding, error) {
 // streamDirect-planned SELECT to emit, in materializing order, stopping
 // the scan as soon as the window is filled (or emit declines). The window
 // is enforced on the emit side; the scan budget only clamps the driver's
-// pages. Both evaluation entry points — the
-// materialized fast path and the incremental Stream.Run — are this one
-// loop, so modifier semantics cannot diverge between them.
+// pages.
 func (e *engine) runDirect(q *Query, vars []string, emit func(Binding) bool) error {
 	if q.Limit == 0 {
 		return nil
@@ -485,94 +454,11 @@ func (e *engine) runDirect(q *Query, vars []string, emit func(Binding) bool) err
 	})
 }
 
-// scanRestartAttempts bounds how often a materialized fast path restarts a
-// scan the store compacted under; past it, the snapshot-consistent
-// materializing pipeline takes over (correct at any write rate, just not
-// early-terminating).
+// scanRestartAttempts bounds how often a streamed path restarts a scan the
+// store compacted under before any row reached the consumer; past it, the
+// snapshot-consistent materializing pipeline takes over (correct at any
+// write rate, just not early-terminating).
 const scanRestartAttempts = 3
-
-// evalStreamFast is the engine's early-termination entry: it handles the
-// query shapes whose solution modifiers let evaluation stop before the full
-// scan (ok=true), and declines (ok=false) when the query must materialize —
-// including when concurrent compaction keeps shifting the paged scan out
-// from under it. Results are always exactly what the materializing
-// pipeline would return.
-func (e *engine) evalStreamFast(q *Query) (res *Results, ok bool, err error) {
-	switch planStream(q) {
-	case streamDirect:
-		if q.Form == FormAsk {
-			for attempt := 0; attempt < scanRestartAttempts; attempt++ {
-				found := false
-				err := e.streamSolutions(q.Where, 1, func(Binding) bool {
-					found = true
-					return false
-				})
-				if errors.Is(err, errScanShifted) {
-					continue
-				}
-				if err != nil {
-					return nil, true, err
-				}
-				return &Results{Form: FormAsk, Ask: found}, true, nil
-			}
-			return nil, false, nil
-		}
-		if q.Limit < 0 {
-			// Without a LIMIT the whole set is needed anyway; the
-			// materializing pipeline is no slower and shares more code.
-			return nil, false, nil
-		}
-		vars := streamVars(q)
-		for attempt := 0; attempt < scanRestartAttempts; attempt++ {
-			var rows []Binding
-			err := e.runDirect(q, vars, func(r Binding) bool {
-				rows = append(rows, r)
-				return true
-			})
-			if errors.Is(err, errScanShifted) {
-				continue
-			}
-			if err != nil {
-				return nil, true, err
-			}
-			return &Results{Form: FormSelect, Vars: vars, Rows: rows}, true, nil
-		}
-		return nil, false, nil
-
-	case streamTopK:
-		k := addBudget(q.Offset, q.Limit)
-		if k < 0 {
-			// offset+limit overflows: no meaningful heap bound exists, and
-			// a window that large is a full materialization anyway.
-			return nil, false, nil
-		}
-		vars := streamVars(q)
-		for attempt := 0; attempt < scanRestartAttempts; attempt++ {
-			var sols []Binding
-			if k > 0 {
-				var err error
-				sols, err = e.streamTopK(q, k)
-				if errors.Is(err, errScanShifted) {
-					continue
-				}
-				if err != nil {
-					return nil, true, err
-				}
-			}
-			hidden := hiddenOrdNames(len(q.OrderBy))
-			rows := make([]Binding, 0, len(sols))
-			p := newProjector(q, vars, true)
-			for _, s := range sols {
-				rows = append(rows, p.project(s))
-			}
-			sortRows(rows, q.OrderBy, hidden)
-			stripHidden(rows, hidden)
-			return &Results{Form: FormSelect, Vars: vars, Rows: sliceOffsetLimit(rows, q.Offset, q.Limit)}, true, nil
-		}
-		return nil, false, nil
-	}
-	return nil, false, nil
-}
 
 // streamVars resolves the projected column names without evaluating: the
 // explicit projection list in order, or for SELECT * every variable the
@@ -608,8 +494,6 @@ func streamVars(q *Query) []string {
 type Stream struct {
 	e    *engine
 	q    *Query
-	opt  Options
-	mode streamMode
 	vars []string
 }
 
@@ -625,11 +509,7 @@ func PrepareStream(ctx context.Context, src Source, query string, opt Options) (
 
 // PrepareStreamQuery is PrepareStream over an already-parsed query.
 func PrepareStreamQuery(ctx context.Context, src Source, q *Query, opt Options) *Stream {
-	mode := planStream(q)
-	if opt.NoStream {
-		mode = streamNone
-	}
-	s := &Stream{e: newEngine(ctx, src, opt), q: q, opt: opt, mode: mode}
+	s := &Stream{e: newEngine(ctx, src, opt), q: q}
 	if q.Form == FormSelect {
 		s.vars = streamVars(q)
 	}
@@ -649,7 +529,9 @@ func (s *Stream) Form() QueryForm { return s.q.Form }
 // evaluation first (ORDER BY, DISTINCT, grouping, UNION or SERVICE
 // patterns); rows still arrive through the same callback, just only after
 // the result set is complete.
-func (s *Stream) Incremental() bool { return s.mode == streamDirect && s.q.Form == FormSelect }
+func (s *Stream) Incremental() bool {
+	return s.q.Form == FormSelect && planStream(s.q, true) == streamDirect
+}
 
 // Run evaluates a SELECT stream, calling emit for every result row in
 // order — the same rows the materializing pipeline returns — until emit
@@ -658,44 +540,8 @@ func (s *Stream) Run(emit func(Binding) bool) error {
 	if s.q.Form != FormSelect {
 		return wrapEval(fmt.Errorf("sparql: Run on an ASK query; use Ask"))
 	}
-	switch s.mode {
-	case streamDirect:
-		if s.e.met != nil {
-			s.e.met.QueriesStreamed.Inc()
-		}
-		for attempt := 0; attempt < scanRestartAttempts; attempt++ {
-			delivered := false
-			err := s.e.runDirect(s.q, s.vars, func(r Binding) bool {
-				delivered = true
-				return emit(r)
-			})
-			if errors.Is(err, errScanShifted) {
-				if delivered {
-					// Rows already reached the consumer; a restart would
-					// duplicate them. Surface the conflict instead.
-					return wrapEval(fmt.Errorf("%w; re-run the query", err))
-				}
-				continue // nothing delivered yet: restart transparently
-			}
-			return wrapEval(err)
-		}
-		// Compaction churn with nothing delivered: fall through to the
-		// materialized replay below, which is snapshot-consistent.
-		fallthrough
-	default:
-		// Materializing modes (top-k included) share the Results pipeline
-		// and replay the finished rows.
-		res, err := evalWithEngine(s.e, s.q, s.opt)
-		if err != nil {
-			return wrapEval(err)
-		}
-		for _, row := range res.Rows {
-			if !emit(row) {
-				return nil
-			}
-		}
-		return nil
-	}
+	_, err := s.e.evaluate(s.q, emit)
+	return wrapEval(err)
 }
 
 // Ask answers an ASK stream, stopping at the first matching solution when
@@ -704,7 +550,7 @@ func (s *Stream) Ask() (bool, error) {
 	if s.q.Form != FormAsk {
 		return false, wrapEval(fmt.Errorf("sparql: Ask on a SELECT query; use Run"))
 	}
-	res, err := evalWithEngine(s.e, s.q, s.opt)
+	res, err := s.e.evaluate(s.q, nil)
 	if err != nil {
 		return false, wrapEval(err)
 	}

@@ -75,9 +75,49 @@ func execOpts(t *testing.T, src Source, q string, opt Options) *Results {
 	return res
 }
 
+// checkRows checks a result against two oracles: the reference evaluator's
+// answer, and — row for row — the window of the same query evaluated
+// without LIMIT and OFFSET, which materializes every solution. A streamed
+// window must be exactly that slice of the full answer.
+func checkRows(t *testing.T, st *store.Store, query string, got *Results) {
+	t.Helper()
+	q, err := Parse(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := refEval(st, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := ref.compare(q, got); d != "" {
+		t.Errorf("%s: %s", query, d)
+	}
+	if q.Form == FormAsk {
+		return
+	}
+	full := *q
+	full.Limit, full.Offset = -1, 0
+	res, err := EvalOpts(st, &full, Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sliceOffsetLimit(res.Rows, q.Offset, q.Limit)
+	if !reflect.DeepEqual(got.Vars, res.Vars) {
+		t.Errorf("%s: vars = %v, full evaluation %v", query, got.Vars, res.Vars)
+	}
+	if len(got.Rows) != len(want) {
+		t.Fatalf("%s: %d rows, full evaluation's window %d", query, len(got.Rows), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got.Rows[i], want[i]) {
+			t.Errorf("%s: row %d = %v, full evaluation's window %v", query, i, got.Rows[i], want[i])
+		}
+	}
+}
+
 // TestSolutionModifierMatrix is the differential grid: every query shape
-// must return identical rows in identical order across parallelism settings
-// and across the streaming fast paths vs. the materializing pipeline.
+// must return the reference answer, in the full evaluation's row order,
+// at every parallelism setting and through both entries.
 func TestSolutionModifierMatrix(t *testing.T) {
 	st := testStore(t)
 	queries := []struct {
@@ -108,33 +148,27 @@ func TestSolutionModifierMatrix(t *testing.T) {
 	}
 	for _, tc := range queries {
 		t.Run(tc.name, func(t *testing.T) {
-			ref := execOpts(t, st, tc.q, Options{Parallelism: 1, NoStream: true})
+			q, err := Parse(tc.q)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, par := range []int{1, 4} {
-				for _, noStream := range []bool{false, true} {
-					got := execOpts(t, st, tc.q, Options{Parallelism: par, NoStream: noStream})
-					label := fmt.Sprintf("par=%d noStream=%v", par, noStream)
-					if !reflect.DeepEqual(got.Vars, ref.Vars) {
-						t.Errorf("%s: vars = %v, want %v", label, got.Vars, ref.Vars)
-					}
-					if got.Ask != ref.Ask {
-						t.Errorf("%s: ask = %v, want %v", label, got.Ask, ref.Ask)
-					}
-					if len(got.Rows) != len(ref.Rows) {
-						t.Fatalf("%s: %d rows, want %d", label, len(got.Rows), len(ref.Rows))
-					}
-					for i := range got.Rows {
-						if !reflect.DeepEqual(got.Rows[i], ref.Rows[i]) {
-							t.Errorf("%s: row %d = %v, want %v", label, i, got.Rows[i], ref.Rows[i])
+				for _, entry := range entries {
+					t.Run(fmt.Sprintf("par=%d/%s", par, entry.name), func(t *testing.T) {
+						got, err := entry.eval(st, q, Options{Parallelism: par})
+						if err != nil {
+							t.Fatal(err)
 						}
-					}
+						checkRows(t, st, tc.q, got)
+					})
 				}
 			}
 		})
 	}
 }
 
-// TestStreamedEqualsMaterialized runs the same queries through the Stream
-// API and asserts row-for-row equality with the materializing pipeline.
+// TestStreamedEqualsMaterialized runs queries through the Stream API and
+// checks the rows against the reference and the full evaluation.
 func TestStreamedEqualsMaterialized(t *testing.T) {
 	st := testStore(t)
 	queries := []string{
@@ -147,26 +181,15 @@ func TestStreamedEqualsMaterialized(t *testing.T) {
 	}
 	for _, par := range []int{1, 4} {
 		for _, q := range queries {
-			ref := execOpts(t, st, q, Options{Parallelism: par, NoStream: true})
-			stm, err := PrepareStream(context.Background(), st, q, Options{Parallelism: par})
+			parsed, err := Parse(q)
 			if err != nil {
-				t.Fatalf("PrepareStream(%q): %v", q, err)
+				t.Fatal(err)
 			}
-			var rows []Binding
-			if err := stm.Run(func(r Binding) bool {
-				rows = append(rows, r)
-				return true
-			}); err != nil {
+			got, err := streamEval(st, parsed, Options{Parallelism: par})
+			if err != nil {
 				t.Fatalf("Run(%q): %v", q, err)
 			}
-			if len(rows) != len(ref.Rows) {
-				t.Fatalf("par=%d %q: streamed %d rows, materialized %d", par, q, len(rows), len(ref.Rows))
-			}
-			for i := range rows {
-				if !reflect.DeepEqual(rows[i], ref.Rows[i]) {
-					t.Errorf("par=%d %q: row %d = %v, want %v", par, q, i, rows[i], ref.Rows[i])
-				}
-			}
+			checkRows(t, st, q, got)
 		}
 	}
 }
@@ -174,9 +197,11 @@ func TestStreamedEqualsMaterialized(t *testing.T) {
 // TestLimitPushdownStopsScanning is the early-termination guarantee: a
 // LIMIT 10 over a six-figure solution space must visit a small constant
 // number of triples, not the whole index — at every parallelism setting.
+// The full-scan count comes from the same query without its LIMIT.
 func TestLimitPushdownStopsScanning(t *testing.T) {
 	st := streamStore(t, 50000) // 100k triples
-	q := `SELECT ?s ?o WHERE { ?s <http://s/value> ?o } LIMIT 10`
+	const unlimited = `SELECT ?s ?o WHERE { ?s <http://s/value> ?o }`
+	q := unlimited + ` LIMIT 10`
 	for _, par := range []int{1, 4} {
 		src := &countingSource{Store: st}
 		res := execOpts(t, src, q, Options{Parallelism: par})
@@ -184,18 +209,16 @@ func TestLimitPushdownStopsScanning(t *testing.T) {
 			t.Fatalf("par=%d: got %d rows, want 10", par, len(res.Rows))
 		}
 		pushed := src.visited.Load()
+		checkRows(t, st, q, res)
 
 		src2 := &countingSource{Store: st}
-		ref := execOpts(t, src2, q, Options{Parallelism: par, NoStream: true})
+		execOpts(t, src2, unlimited, Options{Parallelism: par})
 		full := src2.visited.Load()
-		if !reflect.DeepEqual(res.Rows, ref.Rows) {
-			t.Fatalf("par=%d: pushdown rows differ from materialized", par)
-		}
 		if pushed == 0 {
 			t.Errorf("par=%d: pushdown visited no triples; the counting source saw no scan", par)
 		}
 		if pushed*10 > full {
-			t.Errorf("par=%d: pushdown visited %d triples, materializing %d — want ≥10x fewer", par, pushed, full)
+			t.Errorf("par=%d: pushdown visited %d triples, the query without LIMIT %d — want ≥10x fewer", par, pushed, full)
 		}
 	}
 }
@@ -213,15 +236,57 @@ func TestLimitPushdownJoinCapped(t *testing.T) {
 			t.Fatalf("par=%d: got %d rows, want 7", par, len(res.Rows))
 		}
 		pushed := src.visited.Load()
-		ref := execOpts(t, st, q, Options{Parallelism: par, NoStream: true})
-		if !reflect.DeepEqual(res.Rows, ref.Rows) {
-			t.Fatalf("par=%d: capped join rows differ from materialized", par)
-		}
+		checkRows(t, st, q, res)
 		if pushed == 0 {
 			t.Errorf("par=%d: join pushdown visited no triples; the counting source saw no scan", par)
 		}
 		if pushed > 4000 { // full evaluation visits ≥40k
 			t.Errorf("par=%d: join pushdown visited %d triples, want early termination", par, pushed)
+		}
+	}
+}
+
+// decodeCountingSource counts the IDs the engine decodes through Terms.
+type decodeCountingSource struct {
+	*store.Store
+	decoded atomic.Int64
+}
+
+func (d *decodeCountingSource) Terms(ids []store.ID) []rdf.Term {
+	d.decoded.Add(int64(len(ids)))
+	return d.Store.Terms(ids)
+}
+
+// TestStreamDecodesOnlySurvivors: the driver finishes each page's pattern
+// run in ID space and decodes only the rows that survive it. The first
+// pattern matches 1000 entities, the run keeps every other one of
+// 500..999, and LIMIT 5 is filled on the eighth page: ~250 survivors to
+// decode, where decoding every page's scan matches would cost over 1000.
+func TestStreamDecodesOnlySurvivors(t *testing.T) {
+	var triples []rdf.Triple
+	for i := 0; i < 2000; i++ {
+		e := rdf.IRI(fmt.Sprintf("http://s/e%d", i))
+		if i < 1000 {
+			triples = append(triples, rdf.Triple{S: e, P: "http://s/a", O: rdf.NewLiteral("x")})
+		}
+		if i >= 500 && i < 1500 {
+			triples = append(triples, rdf.Triple{S: e, P: "http://s/b", O: rdf.NewLiteral("y")})
+		}
+		if i%2 == 0 {
+			triples = append(triples, rdf.Triple{S: e, P: "http://s/c", O: rdf.NewLiteral("z")})
+		}
+	}
+	st, err := store.Load(triples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const q = `SELECT ?s WHERE { ?s <http://s/a> "x" . ?s <http://s/b> "y" . ?s <http://s/c> "z" } LIMIT 5`
+	for _, par := range []int{1, 4} {
+		src := &decodeCountingSource{Store: st}
+		res := execOpts(t, src, q, Options{Parallelism: par})
+		checkRows(t, st, q, res)
+		if n := src.decoded.Load(); n > 300 {
+			t.Errorf("par=%d: decoded %d IDs for 5 rows, want at most 300", par, n)
 		}
 	}
 }
@@ -244,10 +309,7 @@ func TestNestedGroupPushdown(t *testing.T) {
 		if v := src.visited.Load(); v == 0 || v > 1000 {
 			t.Errorf("%s: visited %d triples, want early termination (and a counted scan)", q, v)
 		}
-		ref := execOpts(t, st, q, Options{Parallelism: 1, NoStream: true})
-		if !reflect.DeepEqual(res.Rows, ref.Rows) {
-			t.Errorf("%s: nested pushdown rows differ from materialized", q)
-		}
+		checkRows(t, st, q, res)
 	}
 	// A group with no top-level pattern at all must not claim incremental
 	// delivery.
@@ -271,10 +333,10 @@ func TestHugeLimitNoOverflow(t *testing.T) {
 		fmt.Sprintf(`PREFIX foaf: <http://xmlns.com/foaf/0.1/> SELECT ?n WHERE { ?p foaf:name ?n } ORDER BY ?n LIMIT %d OFFSET 1`, int64(^uint(0)>>1)),
 	} {
 		got := execOpts(t, st, q, Options{Parallelism: 1})
-		ref := execOpts(t, st, q, Options{Parallelism: 1, NoStream: true})
-		if len(got.Rows) != len(ref.Rows) || len(got.Rows) == 0 {
-			t.Errorf("%s: streamed %d rows, materialized %d (want equal, non-zero)", q, len(got.Rows), len(ref.Rows))
+		if len(got.Rows) == 0 {
+			t.Errorf("%s: no rows", q)
 		}
+		checkRows(t, st, q, got)
 	}
 }
 
@@ -292,11 +354,7 @@ func TestSubgroupPrefixNotIncremental(t *testing.T) {
 	if stm.Incremental() {
 		t.Error("subgroup prefix forces full evaluation; Incremental must be false")
 	}
-	got := execOpts(t, st, q, Options{Parallelism: 1})
-	ref := execOpts(t, st, q, Options{Parallelism: 1, NoStream: true})
-	if !reflect.DeepEqual(got.Rows, ref.Rows) {
-		t.Errorf("rows differ: %v vs %v", got.Rows, ref.Rows)
-	}
+	checkRows(t, st, q, execOpts(t, st, q, Options{Parallelism: 1}))
 }
 
 // TestAskShortCircuits: ASK stops at the first matching solution.
@@ -325,11 +383,7 @@ func TestTopKOrderByLimit(t *testing.T) {
 		`SELECT ?s WHERE { ?s <http://s/value> ?o } ORDER BY ?o LIMIT 20`,
 	} {
 		for _, par := range []int{1, 4} {
-			got := execOpts(t, st, q, Options{Parallelism: par})
-			ref := execOpts(t, st, q, Options{Parallelism: par, NoStream: true})
-			if !reflect.DeepEqual(got.Rows, ref.Rows) {
-				t.Errorf("par=%d %q: top-k rows differ from materialized", par, q)
-			}
+			checkRows(t, st, q, execOpts(t, st, q, Options{Parallelism: par}))
 		}
 	}
 }
@@ -342,9 +396,20 @@ func TestUnboundOrderBy(t *testing.T) {
 	base := `PREFIX ex: <http://example.org/>
 SELECT ?s ?pop WHERE { ?s a ?t . OPTIONAL { ?s ex:population ?pop } } ORDER BY %s LIMIT 20`
 	for _, par := range []int{1, 4} {
-		for _, noStream := range []bool{false, true} {
-			opt := Options{Parallelism: par, NoStream: noStream}
-			asc := execOpts(t, st, fmt.Sprintf(base, "?pop ?s"), opt)
+		for _, entry := range entries {
+			opt := Options{Parallelism: par}
+			eval := func(query string) *Results {
+				q, err := Parse(query)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := entry.eval(st, q, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			asc := eval(fmt.Sprintf(base, "?pop ?s"))
 			if len(asc.Rows) == 0 {
 				t.Fatal("no rows")
 			}
@@ -360,14 +425,14 @@ SELECT ?s ?pop WHERE { ?s a ?t . OPTIONAL { ?s ex:population ?pop } } ORDER BY %
 					}
 					prev = pop
 				} else if seenBound {
-					t.Errorf("asc row %d: unbound after bound (par=%d noStream=%v)", i, par, noStream)
+					t.Errorf("asc row %d: unbound after bound (par=%d %s)", i, par, entry.name)
 				}
 			}
 			if !seenBound {
 				t.Fatal("expected some bound pop values")
 			}
 			// DESC: bound descending first, unbound rows last.
-			desc := execOpts(t, st, fmt.Sprintf(base, "DESC(?pop) ?s"), opt)
+			desc := eval(fmt.Sprintf(base, "DESC(?pop) ?s"))
 			seenUnbound := false
 			prev = nil
 			for i, r := range desc.Rows {
@@ -376,7 +441,7 @@ SELECT ?s ?pop WHERE { ?s a ?t . OPTIONAL { ?s ex:population ?pop } } ORDER BY %
 					seenUnbound = true
 				} else {
 					if seenUnbound {
-						t.Errorf("desc row %d: bound after unbound (par=%d noStream=%v)", i, par, noStream)
+						t.Errorf("desc row %d: bound after unbound (par=%d %s)", i, par, entry.name)
 					}
 					if prev != nil && rdf.Compare(prev, pop) < 0 {
 						t.Errorf("desc row %d: %v after %v", i, pop, prev)
@@ -585,9 +650,9 @@ func (c *compactingSource) ForEachIDPage(s, p, o store.ID, pos, max int, fn func
 	return next, done
 }
 
-// TestStreamRestartsOnCompaction: the materialized fast path detects the
-// epoch change, discards the possibly-corrupt pages, restarts, and still
-// returns exactly the materializing pipeline's rows.
+// TestStreamRestartsOnCompaction: a streamed query collected into Results
+// detects the epoch change, discards the possibly-corrupt pages, restarts,
+// and still returns exactly the full evaluation's rows.
 func TestStreamRestartsOnCompaction(t *testing.T) {
 	st := streamStore(t, 2000)
 	// A pending non-matching delta entry so Compact actually reshuffles.
@@ -600,10 +665,7 @@ func TestStreamRestartsOnCompaction(t *testing.T) {
 	if !src.compacted {
 		t.Fatal("test did not exercise mid-scan compaction")
 	}
-	ref := execOpts(t, st, q, Options{Parallelism: 1, NoStream: true})
-	if !reflect.DeepEqual(res.Rows, ref.Rows) {
-		t.Fatalf("restarted scan rows differ from materialized: %d vs %d rows", len(res.Rows), len(ref.Rows))
-	}
+	checkRows(t, st, q, res)
 }
 
 // TestStreamRunAbortsAfterDeliveryOnCompaction: an incremental stream that
@@ -683,11 +745,8 @@ func TestStreamSelectStarVars(t *testing.T) {
 	st := testStore(t)
 	q := `PREFIX foaf: <http://xmlns.com/foaf/0.1/> SELECT * WHERE { ?p foaf:knows ?q } LIMIT 2`
 	got := execOpts(t, st, q, Options{Parallelism: 1})
-	ref := execOpts(t, st, q, Options{Parallelism: 1, NoStream: true})
 	if !reflect.DeepEqual(got.Vars, []string{"p", "q"}) {
 		t.Fatalf("vars = %v, want [p q]", got.Vars)
 	}
-	if !reflect.DeepEqual(got.Rows, ref.Rows) {
-		t.Errorf("rows differ: %v vs %v", got.Rows, ref.Rows)
-	}
+	checkRows(t, st, q, got)
 }

@@ -196,3 +196,40 @@ func TestTraceFilterSpan(t *testing.T) {
 		t.Errorf("trace mismatch\n got: %s\nwant: %s", got, want)
 	}
 }
+
+// TestTraceStreamedSpans pins the bounded trace of a streamed query: the
+// driver pages the run's first pattern eight times, yet the trace carries
+// one span per pattern of the run — rows summed over pages, the page count
+// on the paged-scan span, the strategies in first-use order (small pages
+// probe, large ones merge) — and one span for the pushed filter: the same
+// three stages the materialized plan records.
+func TestTraceStreamedSpans(t *testing.T) {
+	st := streamStore(t, 2000)
+	const q = `SELECT ?s ?v WHERE { ?s <http://s/link> ?o . ?o <http://s/value> ?v FILTER(?v > 990) } LIMIT 7`
+	const want = `{"root":{"name":"query","durationMicros":0,"children":[` +
+		`{"name":"parse","durationMicros":0},` +
+		`{"name":"execute","strategy":"streamed","rowsOut":7,"durationMicros":0,"children":[` +
+		`{"name":"plan","detail":"?s <http://s/link> ?o . ?o <http://s/value> ?v","durationMicros":0},` +
+		`{"name":"pattern","detail":"?s <http://s/link> ?o","strategy":"paged-scan","rowsIn":1,"rowsOut":1020,"pages":8,"durationMicros":0},` +
+		`{"name":"pattern","detail":"?o <http://s/value> ?v","strategy":"id-probe+id-merge","rowsIn":1020,"rowsOut":1020,"durationMicros":0,"children":[` +
+		`{"name":"filter","detail":"(?v > \"990\"^^<http://www.w3.org/2001/XMLSchema#integer>)","strategy":"id-filter","rowsIn":1020,"rowsOut":9,"durationMicros":0}]}]}]}}`
+	tr := explain.NewTrace()
+	res, err := ExecOpts(st, q, Options{Parallelism: 1, Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish()
+	if len(res.Rows) != 7 {
+		t.Fatalf("rows = %d, want 7", len(res.Rows))
+	}
+	tr.ZeroDurations()
+	var sb strings.Builder
+	enc := json.NewEncoder(&sb)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(tr); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.TrimSuffix(sb.String(), "\n"); got != want {
+		t.Errorf("trace mismatch\n got: %s\nwant: %s", got, want)
+	}
+}

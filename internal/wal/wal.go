@@ -569,7 +569,10 @@ type payloadDecoder struct {
 
 func (d *payloadDecoder) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
+	// An overlong encoding (a multi-byte varint ending in a zero byte)
+	// decodes to the same value as the minimal one, so accepting it would
+	// give one record two payloads — and two ledger hashes.
+	if n <= 0 || (n > 1 && d.buf[d.off+n-1] == 0) {
 		return 0, fmt.Errorf("%w: bad uvarint at offset %d", ErrCorrupt, d.off)
 	}
 	d.off += n
